@@ -9,6 +9,7 @@ or I/O errors.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -177,6 +178,7 @@ def _cmd_property_suite(args):
 
 
 def build_parser() -> _Parser:
+    """The argparse tree; ``main`` builds it once per process."""
     parser = _Parser(prog="lidskii")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,10 +249,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "tol", 1.0) <= 0:

@@ -11,13 +11,24 @@ from typing import Callable
 
 import numpy as np
 
+from .matrices import as_rng, skew_exp, unit_skew
+
 CURVE_SAMPLES = 64
 DROP_TOL = 1e-10  # relative threshold for a verified drop
 MONOTONE_SLACK = 1e-12
 
 
+def _same(P):
+    return P
+
+
 @dataclass
 class DescentCurve:
+    """Sampled curve.  ``point_fn`` maps an array of n parameters to a stack
+    of n raw points, ``value_fn`` maps such a stack to its n objective
+    values, and ``as_point`` turns one raw point into the constraint-set
+    object (the identity for matrices, a FrameSequence for frames)."""
+
     kind: str  # "givens" | "phase" | "gradient_flow" | "delta_search" | "escape"
     param: int | None
     ts: np.ndarray
@@ -25,26 +36,50 @@ class DescentCurve:
     verified_drop: float
     point_fn: Callable = field(repr=False, compare=False)
     value_fn: Callable = field(repr=False, compare=False)
+    as_point: Callable = field(default=_same, repr=False, compare=False)
 
     def point(self, t: float):
-        return self.point_fn(t)
+        return self.as_point(self.point_fn(np.array([float(t)]))[0])
 
     def sample(self, t: float):
         """Return (point on the constraint set, objective value) at t."""
-        p = self.point_fn(t)
-        return p, self.value_fn(p)
+        P = self.point_fn(np.array([float(t)]))
+        return self.as_point(P[0]), float(self.value_fn(P)[0])
 
 
 def log_grid(t_max: float, n: int = CURVE_SAMPLES, t_min_frac: float = 1e-6) -> np.ndarray:
     return np.geomspace(t_max * t_min_frac, t_max, n)
 
 
-def build_curve(kind, param, point_fn, value_fn, ts) -> DescentCurve:
-    """Evaluate the objective along [0] + ts and package the samples."""
+def build_curve(kind, param, point_fn, value_fn, ts, as_point=_same) -> DescentCurve:
+    """Evaluate the objective along [0] + ts, all samples as one stack."""
     ts_full = np.concatenate([[0.0], np.asarray(ts, dtype=float)])
-    values = np.array([value_fn(point_fn(t)) for t in ts_full])
+    values = np.asarray(value_fn(point_fn(ts_full)), dtype=float)
     drop = float(values[0] - values.min())
-    return DescentCurve(kind, param, ts_full, values, drop, point_fn, value_fn)
+    return DescentCurve(kind, param, ts_full, values, drop, point_fn, value_fn, as_point)
+
+
+def rotation_search(seed, n_gen, d, radii, tries, screen, curve_at, threshold, drop_req):
+    """Random search for a descent curve built from unit skew generators.
+
+    At each radius draws ``tries`` sets of ``n_gen`` unit skew-Hermitian
+    d x d generators from one Gaussian block (real then imaginary part of
+    each generator, set after set), rotates by all of them at once and keeps
+    the sets whose ``screen`` value, given the ``(tries, n_gen, d, d)``
+    stack of rotations, lies below ``threshold``.  ``curve_at(X, radius)``
+    then builds the curve of each kept set in draw order; the first one
+    whose trimmed prefix drops by more than ``drop_req`` is returned.
+    Returns None when no radius yields one.
+    """
+    rng = as_rng(seed)
+    for radius in radii:
+        Z = rng.standard_normal((tries, n_gen, 2, d, d))
+        X = unit_skew(Z[:, :, 0] + 1j * Z[:, :, 1])
+        for i in np.flatnonzero(screen(skew_exp(X, radius)) < threshold):
+            trimmed = trim_to_descent(curve_at(X[i], radius), drop_req)
+            if trimmed is not None:
+                return trimmed
+    return None
 
 
 def trim_to_descent(curve: DescentCurve, drop_req: float, slack: float | None = None):

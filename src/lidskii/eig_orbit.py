@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import DROP_TOL, DescentCurve, build_curve, log_grid, trim_to_descent
+from .curves import (
+    DROP_TOL,
+    DescentCurve,
+    build_curve,
+    log_grid,
+    rotation_search,
+    trim_to_descent,
+)
 from .majorization import sort_desc
 from .matrices import (
     GAP_TOL,
@@ -24,12 +31,12 @@ from .matrices import (
     as_rng,
     check_unitary,
     commutator,
+    conj_t,
     eigh,
     frob,
-    random_general,
     skew_exp,
 )
-from .norms import NormSpec, evaluate, gauge_from_eigs, norm_gradient
+from .norms import NormSpec, distance_from, evaluate, gauge_from_eigs, norm_gradient
 
 SEARCH_RADII = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SEARCH_TRIES = 48
@@ -148,54 +155,45 @@ def givens_descent_curve(norm: NormSpec, S, G0, j: int, joint_basis=None) -> Des
         )
     if nu[j] >= nu[j + 1]:
         raise ValueError("no inversion at the pivot: nu[j] must be < nu[j+1]")
-    Vb = V
 
-    def point(t):
-        R = np.eye(d, dtype=np.complex128)
-        c, s = np.cos(t), np.sin(t)
-        R[j, j] = c
-        R[j + 1, j + 1] = c
-        R[j, j + 1] = s
-        R[j + 1, j] = -s
-        U = Vb @ R @ Vb.conj().T
-        G = U @ G0 @ U.conj().T
-        return (G + G.conj().T) / 2.0
-
-    def value(G):
-        return evaluate(norm, S - G)
+    def point(ts):
+        R = np.tile(np.eye(d, dtype=np.complex128), (ts.size, 1, 1))
+        c, s = np.cos(ts), np.sin(ts)
+        R[:, j, j] = c
+        R[:, j + 1, j + 1] = c
+        R[:, j, j + 1] = s
+        R[:, j + 1, j] = -s
+        U = V @ R @ conj_t(V)
+        return _sym(U @ G0 @ conj_t(U))
 
     ts = log_grid(np.pi / 2 * 0.9999)
-    return build_curve("givens", j, point, value, ts)
+    return build_curve("givens", j, point, distance_from(norm, S), ts)
+
+
+def _sym(G):
+    return (G + conj_t(G)) / 2.0
 
 
 def _flow_curve(norm, S, G0, K):
     """Orbit curve exp(tK) G0 exp(-tK) for skew-Hermitian K, with objective."""
 
-    def point(t):
-        E = skew_exp(K, t)
-        G = E @ G0 @ E.conj().T
-        return (G + G.conj().T) / 2.0
+    def point(ts):
+        E = skew_exp(K, ts)
+        return _sym(E @ G0 @ conj_t(E))
 
-    def value(G):
-        return evaluate(norm, S - G)
-
-    return build_curve("gradient_flow", None, point, value, log_grid(1.0))
-
-
-def _random_unit_skew(d, rng):
-    Z = random_general(d, rng)
-    K = (Z - Z.conj().T) / 2.0
-    return K / frob(K)
+    return build_curve("gradient_flow", None, point, distance_from(norm, S), log_grid(1.0))
 
 
 def _noncommuting_witness(norm, S, G0, phi0, seed):
     """Search for a verified descent curve at a non-commuting candidate.
 
     First tries the norm-adapted commutator flow (guaranteed first-order
-    decrease), then random two-sided rotations at shrinking radii.
+    decrease), then random two-sided rotations at shrinking radii: a pair
+    (X1, X2) is screened by norm(U^H S U - V^H G0 V) with U = exp(r X1),
+    V = exp(r X2), and followed along G(t) = W(t)^H G0 W(t) with
+    W(t) = exp(t r X2) exp(t r X1)^H.
     """
     drop_req = DROP_TOL * (1.0 + phi0)
-    d = S.shape[0]
     P = norm_gradient(norm, S - G0)
     K = P @ G0 - G0 @ P
     if frob(K) > 0:
@@ -203,30 +201,23 @@ def _noncommuting_witness(norm, S, G0, phi0, seed):
         trimmed = trim_to_descent(_flow_curve(norm, S, G0, K), drop_req)
         if trimmed is not None:
             return trimmed
-    rng = as_rng(seed)
-    for radius in SEARCH_RADII:
-        for _ in range(SEARCH_TRIES):
-            X1 = _random_unit_skew(d, rng)
-            X2 = _random_unit_skew(d, rng)
-            U = skew_exp(X1, radius)
-            V = skew_exp(X2, radius)
-            val = evaluate(norm, U.conj().T @ S @ U - V.conj().T @ G0 @ V)
-            if val >= phi0 - drop_req:
-                continue
 
-            def point(t, X1=X1, X2=X2, radius=radius):
-                W = skew_exp(X2, t * radius) @ skew_exp(X1, t * radius).conj().T
-                G = W.conj().T @ G0 @ W
-                return (G + G.conj().T) / 2.0
+    def screen(E):
+        U, V = E[:, 0], E[:, 1]
+        return evaluate(norm, conj_t(U) @ S @ U - conj_t(V) @ G0 @ V)
 
-            def value(G):
-                return evaluate(norm, S - G)
+    def curve_at(X, radius):
+        def point(ts):
+            E = skew_exp(X, (ts * radius)[:, np.newaxis])
+            W = E[:, 1] @ conj_t(E[:, 0])
+            return _sym(conj_t(W) @ G0 @ W)
 
-            curve = build_curve("delta_search", None, point, value, log_grid(1.0))
-            trimmed = trim_to_descent(curve, drop_req)
-            if trimmed is not None:
-                return trimmed
-    return None
+        return build_curve("delta_search", None, point, distance_from(norm, S), log_grid(1.0))
+
+    return rotation_search(
+        seed, 2, S.shape[0], SEARCH_RADII, SEARCH_TRIES, screen, curve_at,
+        phi0 - drop_req, drop_req,
+    )
 
 
 def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertificate:

@@ -25,6 +25,7 @@ from .matrices import (
     as_hermitian,
     as_rng,
     commutator,
+    conj_t,
     eigh,
     eigvalsh_desc,
     frob,
@@ -101,9 +102,13 @@ def synthesis(G: FrameSequence) -> np.ndarray:
 
 def frame_operator(G: FrameSequence) -> np.ndarray:
     """S_G = sum g_i g_i^H, PSD with trace sum a_i."""
-    V = G.vectors
-    S = V @ V.conj().T
-    return (S + S.conj().T) / 2.0
+    return _gram(G.vectors)
+
+
+def _gram(V):
+    """Hermitian V V^H for a d x k matrix or each of a stack of them."""
+    S = V @ conj_t(V)
+    return (S + conj_t(S)) / 2.0
 
 
 def frame_operator_distance(norm: NormSpec, S, G: FrameSequence) -> float:
@@ -470,22 +475,25 @@ def escape_move(S, G0: FrameSequence, cluster_index: int, tol: float = 1e-8, nor
 
     a = G0.norms
 
-    def point(t):
-        V = G0.vectors.copy()
+    def point(ts):
+        t = ts[:, np.newaxis]
+        V = np.repeat(G0.vectors[np.newaxis], ts.size, axis=0)
         for pos, ell in enumerate(members):
             zl = z[pos]
             if zl == 0:
                 continue
-            V[:, ell] = (
+            V[:, :, ell] = (
                 np.sqrt(1.0 - t * t * abs(zl) ** 2) * G0.vectors[:, ell]
                 + t * zl * np.sqrt(a[ell]) * h
             )
-        return FrameSequence(V, a)
+        return V
 
-    def value(Gt: FrameSequence):
-        return evaluate(norm, S - frame_operator(Gt))
+    def value(V):
+        return evaluate(norm, S - _gram(V))
 
     ts = np.geomspace(ESCAPE_T_MAX * 1e-4, ESCAPE_T_MAX, 64)
-    curve = build_curve("escape", cluster_index, point, value, ts)
+    curve = build_curve(
+        "escape", cluster_index, point, value, ts, lambda V: FrameSequence(V, a)
+    )
     theta0 = curve.values[0]
     return trim_to_descent(curve, DROP_TOL * (1.0 + theta0))

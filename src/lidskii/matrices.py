@@ -18,8 +18,6 @@ import numpy as np
 
 HERMIT_TOL = 1e-10
 UNITARY_TOL = 1e-10
-EIG_TOL = 1e-9
-SVD_TOL = 1e-9
 NULLSPACE_TOL = 1e-8
 GAP_TOL = 1e-7
 
@@ -40,16 +38,34 @@ def as_complex(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    return _finite(A)
+
+
+def square_stack(M) -> np.ndarray:
+    """View the input as a finite complex128 stack ``(..., d, d)`` of square
+    matrices; a single matrix is a stack with no leading axes."""
+    A = np.asarray(M, dtype=np.complex128)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {A.shape}")
+    return _finite(A)
+
+
+def require_square(A) -> np.ndarray:
+    A = square_stack(A)
+    if A.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
+    return A
+
+
+def _finite(A):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
 
-def require_square(A) -> np.ndarray:
-    A = as_complex(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
+def conj_t(A) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.conj(np.swapaxes(A, -1, -2))
 
 
 def frob(A) -> float:
@@ -99,7 +115,7 @@ def eigvalsh_desc(M) -> np.ndarray:
     return w[::-1].copy()
 
 
-def svd(A, tol_unused: float = SVD_TOL):
+def svd(A):
     """Singular value decomposition in the convention A = V^H D_s U.
 
     Returns ``(V, s, U)`` with V, U unitary and s non-negative non-increasing.
@@ -162,12 +178,33 @@ def random_general(d: int, seed, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
-def skew_exp(K, t: float = 1.0) -> np.ndarray:
-    """exp(t K) for skew-Hermitian K, via the eigendecomposition of iK."""
-    K = require_square(K)
+def skew_exp(K, t=1.0) -> np.ndarray:
+    """exp(t K) for skew-Hermitian K, via the eigendecomposition of iK.
+
+    K may be a stack ``(..., d, d)`` of generators and t an array that
+    broadcasts against its leading axes; each generator is diagonalized once
+    and reused for every t.  The result has the broadcast leading shape.
+    """
+    K = square_stack(K)
     H = 1j * K  # Hermitian when K is skew-Hermitian
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    return (V * np.exp(-1j * t * w)[np.newaxis, :]) @ V.conj().T
+    w, V = np.linalg.eigh((H + conj_t(H)) / 2.0)
+    phase = np.exp(-1j * np.asarray(t, dtype=float)[..., np.newaxis] * w)
+    return (V * phase[..., np.newaxis, :]) @ conj_t(V)
+
+
+def unit_skew(Z) -> np.ndarray:
+    """Skew-Hermitian parts of a stack of matrices, each scaled to unit
+    Frobenius norm.
+
+    The squared norm is taken as two BLAS dot products per matrix, the same
+    ones ``frob`` takes on a single matrix, so every slice equals its 2-d
+    counterpart bitwise.
+    """
+    Z = square_stack(Z)
+    K = (Z - conj_t(Z)) / 2.0
+    flat = K.reshape(K.shape[:-2] + (1, -1))
+    sq = sum(x @ np.swapaxes(x, -1, -2) for x in (flat.real, flat.imag))
+    return K / np.sqrt(sq)
 
 
 def cluster_desc(values, gap_tol: float = GAP_TOL):

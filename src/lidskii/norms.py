@@ -7,10 +7,11 @@ Schatten norms with 1 < p < inf (Frobenius included as p = 2).
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .matrices import require_square
+from .matrices import require_square, square_stack
 
 # exponent beyond which (sum s^p)^(1/p) is evaluated in stabilized form
 _LARGE_P = 50.0
@@ -120,15 +121,28 @@ def gauge(norm: NormSpec, s) -> np.ndarray | float:
         if math.isinf(p):
             out = s[..., 0]
         elif p <= _LARGE_P:
-            out = np.sum(s**p, axis=-1) ** (1.0 / p)
+            out = _root(np.sum(s**p, axis=-1), 1.0 / p)
         else:
             # factor out the peak so s^p cannot overflow
             m = np.max(s, axis=-1, keepdims=True)
             safe = np.where(m > 0, m, 1.0)
-            out = (m[..., 0] * np.sum((s / safe) ** p, axis=-1) ** (1.0 / p))
+            out = m[..., 0] * _root(np.sum((s / safe) ** p, axis=-1), 1.0 / p)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _root(x, q):
+    """x ** q through the C library's pow, for a scalar or elementwise.
+
+    NumPy raises a float64 scalar to a power with the C library but an array
+    with its own SIMD pow where the CPU has one, and the two can differ in
+    the last bit.  Taking every root from the C library keeps a stacked
+    gauge equal, bitwise, to the gauge of each row on its own.
+    """
+    if np.ndim(x) == 0:
+        return x**q
+    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(q)), float, x.size).reshape(x.shape)
 
 
 def gauge_from_eigs(norm: NormSpec, lam) -> np.ndarray | float:
@@ -138,11 +152,19 @@ def gauge_from_eigs(norm: NormSpec, lam) -> np.ndarray | float:
     return gauge(norm, s)
 
 
-def evaluate(norm: NormSpec, A) -> float:
-    """Value of the unitarily invariant norm on a square matrix."""
-    A = require_square(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    return float(gauge(norm, s))
+def evaluate(norm: NormSpec, A) -> np.ndarray | float:
+    """Value of the unitarily invariant norm on a square matrix (a float) or
+    on every matrix of a ``(..., d, d)`` stack (an array)."""
+    return gauge(norm, np.linalg.svd(square_stack(A), compute_uv=False))
+
+
+def distance_from(norm: NormSpec, S):
+    """The objective X -> norm(S - X), on a matrix or a stack of matrices."""
+
+    def value(X):
+        return evaluate(norm, S - X)
+
+    return value
 
 
 def norm_gradient(norm: NormSpec, A) -> np.ndarray:

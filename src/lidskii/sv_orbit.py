@@ -14,21 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eig_orbit
-from .curves import DROP_TOL, DescentCurve, build_curve, log_grid, trim_to_descent
+from .curves import (
+    DROP_TOL,
+    DescentCurve,
+    build_curve,
+    log_grid,
+    rotation_search,
+    trim_to_descent,
+)
 from .majorization import sort_desc
 from .matrices import (
     GAP_TOL,
     as_rng,
     cluster_desc,
-    eigh,
+    conj_t,
     frob,
-    random_general,
     require_square,
     skew_exp,
     svd,
     svdvals,
 )
-from .norms import NormSpec, evaluate, norm_gradient
+from .norms import NormSpec, distance_from, evaluate, norm_gradient
 
 ZERO_SV_REL = 1e-9
 ZERO_SV_ABS = 1e-12
@@ -169,24 +175,25 @@ def phase_descent_curve(norm: NormSpec, A, joint: JointSVD, ell: int) -> Descent
     U, V = joint.U, joint.V
     Db = np.diag(beta.astype(np.complex128))
 
-    def point(t):
-        w = np.ones(beta.size, dtype=np.complex128)
-        w[ell] = np.exp(1j * t)
-        return U @ (w[:, np.newaxis] * Db) @ V.conj().T
+    def point(ts):
+        w = np.ones((ts.size, beta.size), dtype=np.complex128)
+        w[:, ell] = np.exp(1j * ts)
+        return U @ (w[:, :, np.newaxis] * Db) @ V.conj().T
 
-    def value(Bt):
-        return evaluate(norm, A - Bt)
-
-    return build_curve("phase", ell, point, value, log_grid(np.pi))
+    return build_curve("phase", ell, point, distance_from(norm, A), log_grid(np.pi))
 
 
 def _nonhermitian_witness(norm, A, B, psi0, seed):
-    """Descent witness search when A^H B or A B^H is not Hermitian."""
-    drop_req = DROP_TOL * (1.0 + psi0)
-    d = A.shape[0]
+    """Descent witness search when A^H B or A B^H is not Hermitian.
 
-    def value(Bt):
-        return evaluate(norm, A - Bt)
+    Tries the two-sided flows B(t) = exp(t D1) B exp(t D2) along the
+    skew-Hermitian parts of P B^H and B^H P, for P the norm gradient and
+    then A - B, before random rotations at shrinking radii: four generators
+    (X1, X2, X3, X4) give B(t) = E1 E2^H B E4 E3^H with Ei = exp(t r Xi),
+    screened at t = 1.
+    """
+    drop_req = DROP_TOL * (1.0 + psi0)
+    value = distance_from(norm, A)
 
     def flow(P):
         d1 = P @ B.conj().T
@@ -196,9 +203,11 @@ def _nonhermitian_witness(norm, A, B, psi0, seed):
         nrm = np.sqrt(frob(d1) ** 2 + frob(d2) ** 2)
         if nrm == 0.0:
             return None
+        D = np.stack([d1 / nrm, d2 / nrm])
 
-        def point(t, d1=d1 / nrm, d2=d2 / nrm):
-            return skew_exp(d1, t) @ B @ skew_exp(d2, t)
+        def point(ts):
+            E = skew_exp(D, ts[:, np.newaxis])
+            return E[:, 0] @ B @ E[:, 1]
 
         return trim_to_descent(
             build_curve("gradient_flow", None, point, value, log_grid(1.0)), drop_req
@@ -208,27 +217,24 @@ def _nonhermitian_witness(norm, A, B, psi0, seed):
         curve = flow(P)
         if curve is not None:
             return curve
-    rng = as_rng(seed)
-    for radius in SEARCH_RADII:
-        for _ in range(SEARCH_TRIES):
-            Xs = []
-            for _i in range(4):
-                Z = random_general(d, rng)
-                K = (Z - Z.conj().T) / 2.0
-                Xs.append(K / frob(K))
 
-            def point(t, Xs=Xs, radius=radius):
-                E = [skew_exp(X, t * radius) for X in Xs]
-                # Xi(U1,U2,V1,V2) corresponds to B' = U1 U2^H B V2 V1^H
-                return E[0] @ E[1].conj().T @ B @ E[3] @ E[2].conj().T
+    def rotate(E):
+        # Xi(U1,U2,V1,V2) corresponds to B' = U1 U2^H B V2 V1^H
+        return E[:, 0] @ conj_t(E[:, 1]) @ B @ E[:, 3] @ conj_t(E[:, 2])
 
-            if value(point(1.0)) >= psi0 - drop_req:
-                continue
-            curve = build_curve("delta_search", None, point, value, log_grid(1.0))
-            trimmed = trim_to_descent(curve, drop_req)
-            if trimmed is not None:
-                return trimmed
-    return None
+    def screen(E):
+        return value(rotate(E))
+
+    def curve_at(X, radius):
+        def point(ts):
+            return rotate(skew_exp(X, (ts * radius)[:, np.newaxis]))
+
+        return build_curve("delta_search", None, point, value, log_grid(1.0))
+
+    return rotation_search(
+        seed, 4, A.shape[0], SEARCH_RADII, SEARCH_TRIES, screen, curve_at,
+        psi0 - drop_req, drop_req,
+    )
 
 
 def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertificate:
@@ -267,14 +273,11 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
         U, V = joint.U, joint.V
         inner_curve = inner.descent_witness
 
-        def point(t):
-            return U @ inner_curve.point_fn(t) @ V.conj().T
-
-        def value(Bt):
-            return evaluate(norm, A - Bt)
+        def point(ts):
+            return U @ inner_curve.point_fn(ts) @ V.conj().T
 
         curve = build_curve(
-            inner_curve.kind, inner_curve.param, point, value, inner_curve.ts[1:]
+            inner_curve.kind, inner_curve.param, point, distance_from(norm, A), inner_curve.ts[1:]
         )
         trimmed = trim_to_descent(curve, DROP_TOL * (1.0 + psi0))
         return SvCertificate("not_local_min", (rA, rB), joint, trimmed or curve, psi0)

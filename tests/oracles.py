@@ -3,11 +3,19 @@
 These deliberately take different computational routes than the library:
 the kernel systems are assembled from Kronecker products and commutation
 matrices acting on realified coordinates (the library loops over structured
-basis matrices), and water filling is solved by bisection (the library
-solves the piecewise-linear equation in closed form).
+basis matrices), water filling is solved by bisection (the library
+solves the piecewise-linear equation in closed form), and the orbit
+certifiers' witness searches run one try and one curve sample at a time
+(the library screens all tries of a radius and samples a whole curve as
+one stack).
 """
 
 import numpy as np
+
+from lidskii import eig_orbit, sv_orbit
+from lidskii.curves import DROP_TOL, DescentCurve, log_grid, trim_to_descent
+from lidskii.matrices import as_rng, frob, random_general, skew_exp
+from lidskii.norms import evaluate, norm_gradient
 
 
 def commutation_matrix(d: int) -> np.ndarray:
@@ -128,3 +136,101 @@ def partial_sum_check(y, x) -> tuple:
         sy += ys[j]
         worst = min(worst, sy - sx)
     return worst >= -1e-10 * (1.0 + abs(sy) + abs(sx)), worst
+
+
+# ---------------------------------------------------------------------------
+# witness searches, one try and one curve sample at a time
+
+
+def _sampled_curve(kind, point, value):
+    ts = np.concatenate([[0.0], log_grid(1.0)])
+    values = np.array([value(point(t)) for t in ts])
+    return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point, value)
+
+
+def _random_unit_skew(d, rng):
+    Z = random_general(d, rng)
+    K = (Z - Z.conj().T) / 2.0
+    return K / frob(K)
+
+
+def eig_witness_search(norm, S, G0, phi0, seed):
+    """Commutator flow, then random two-sided rotations try by try."""
+    drop_req = DROP_TOL * (1.0 + phi0)
+    d = S.shape[0]
+
+    def value(G):
+        return evaluate(norm, S - G)
+
+    P = norm_gradient(norm, S - G0)
+    K = P @ G0 - G0 @ P
+    if frob(K) > 0:
+        K = K / frob(K)
+
+        def flow(t):
+            E = skew_exp(K, t)
+            G = E @ G0 @ E.conj().T
+            return (G + G.conj().T) / 2.0
+
+        trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
+        if trimmed is not None:
+            return trimmed
+    rng = as_rng(seed)
+    for radius in eig_orbit.SEARCH_RADII:
+        for _ in range(eig_orbit.SEARCH_TRIES):
+            X1 = _random_unit_skew(d, rng)
+            X2 = _random_unit_skew(d, rng)
+            U = skew_exp(X1, radius)
+            V = skew_exp(X2, radius)
+            if evaluate(norm, U.conj().T @ S @ U - V.conj().T @ G0 @ V) >= phi0 - drop_req:
+                continue
+
+            def point(t, X1=X1, X2=X2, radius=radius):
+                W = skew_exp(X2, t * radius) @ skew_exp(X1, t * radius).conj().T
+                G = W.conj().T @ G0 @ W
+                return (G + G.conj().T) / 2.0
+
+            trimmed = trim_to_descent(_sampled_curve("delta_search", point, value), drop_req)
+            if trimmed is not None:
+                return trimmed
+    return None
+
+
+def sv_witness_search(norm, A, B, psi0, seed):
+    """Two-sided flows, then random four-generator rotations try by try."""
+    drop_req = DROP_TOL * (1.0 + psi0)
+    d = A.shape[0]
+
+    def value(Bt):
+        return evaluate(norm, A - Bt)
+
+    for P in (norm_gradient(norm, A - B), A - B):
+        d1 = P @ B.conj().T
+        d1 = (d1 - d1.conj().T) / 2.0
+        d2 = B.conj().T @ P
+        d2 = (d2 - d2.conj().T) / 2.0
+        nrm = np.sqrt(frob(d1) ** 2 + frob(d2) ** 2)
+        if nrm == 0.0:
+            continue
+
+        def flow(t, d1=d1 / nrm, d2=d2 / nrm):
+            return skew_exp(d1, t) @ B @ skew_exp(d2, t)
+
+        trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
+        if trimmed is not None:
+            return trimmed
+    rng = as_rng(seed)
+    for radius in sv_orbit.SEARCH_RADII:
+        for _ in range(sv_orbit.SEARCH_TRIES):
+            Xs = [_random_unit_skew(d, rng) for _i in range(4)]
+
+            def point(t, Xs=Xs, radius=radius):
+                E = [skew_exp(X, t * radius) for X in Xs]
+                return E[0] @ E[1].conj().T @ B @ E[3] @ E[2].conj().T
+
+            if value(point(1.0)) >= psi0 - drop_req:
+                continue
+            trimmed = trim_to_descent(_sampled_curve("delta_search", point, value), drop_req)
+            if trimmed is not None:
+                return trimmed
+    return None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lidskii import jsonio
+from lidskii import cli, jsonio
 from lidskii.cli import main
 from lidskii.frames import FrameSequence
 
@@ -198,3 +198,39 @@ def test_inconclusive_exit_three(workdir, monkeypatch, capsys):
 def test_invalid_tol_and_restarts_exit_one(workdir):
     assert main(["certify-eig", "--S", workdir["S"], "--G0", workdir["G_good"], "--tol", "-1"]) == 1
     assert main(["fod-optimize", "--S", workdir["S2"], "--a", "1,1", "--restarts", "0"]) == 1
+
+
+def test_cached_parser_leaks_nothing_between_calls(workdir, capsys):
+    """Consecutive calls through the one parser match calls on a fresh one,
+    also when a later call omits flags an earlier one set."""
+    w = workdir
+    calls = [
+        ["certify-eig", "--S", w["S"], "--G0", w["G_bad"], "--mu", w["mu"],
+         "--norm", "schatten:3", "--tol", "1e-6", "--seed", "5"],
+        ["certify-eig", "--S", w["S"], "--G0", w["G_bad"]],
+        ["certify-sv", "--A", w["A"], "--B", w["B_neg"], "--seed", "3"],
+        ["certify-sv", "--A", w["A"], "--B", w["B_neg"]],
+        ["min-eig", "--S", w["S"], "--mu", "1,0", "--norm", "schatten:3"],
+        ["min-eig", "--S", w["S"], "--mu", "1,0"],
+        ["water-fill", "--lambda", "3,2,1", "--t", "3"],
+        ["fod-check", "--S", w["S2"], "--G", w["frame"], "--norm", "frobenius"],
+        ["fod-check", "--S", w["S2"], "--G", w["frame"]],
+        ["no-such-command"],
+        ["certify-eig", "--S", w["S"], "--G0", w["G_good"]],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out
+
+    consecutive = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert consecutive == fresh
+    assert json.loads(consecutive[1][1])["tol"] == 1e-8
+    assert json.loads(consecutive[1][1])["seed"] == 0
+    assert json.loads(consecutive[3][1])["seed"] == 0
+    assert cli._parser() is cli._parser()

@@ -16,6 +16,7 @@ from lidskii.matrices import (
     random_general,
     random_hermitian,
     skew_exp,
+    unit_skew,
     svd,
     svdvals,
 )
@@ -110,6 +111,42 @@ def test_skew_exp_is_unitary_one_parameter_group():
     E2 = skew_exp(K, 0.7)
     assert frob(E1.conj().T @ E1 - np.eye(4)) < 1e-12
     assert frob(E1 @ E2 - skew_exp(K, 1.0)) < 1e-12
+
+
+def test_skew_exp_stack_equals_per_slice_bitwise():
+    rng = np.random.default_rng(3)
+    for d in range(1, 7):
+        K = unit_skew(rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d)))
+        t = rng.uniform(0.0, 1.0, 5)
+        paired = skew_exp(K, t)
+        assert paired.shape == (5, d, d)
+        grid = skew_exp(K, t[:, np.newaxis])
+        assert grid.shape == (5, 5, d, d)
+        for i in range(5):
+            assert np.array_equal(paired[i], skew_exp(K[i], t[i]))
+            for j in range(5):
+                assert np.array_equal(grid[j, i], skew_exp(K[i], t[j]))
+
+
+def test_unit_skew_equals_per_slice_normalization_bitwise():
+    rng = np.random.default_rng(4)
+    for d in range(1, 7):
+        Z = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        X = unit_skew(Z)
+        for i in range(6):
+            K = (Z[i] - Z[i].conj().T) / 2.0
+            assert np.array_equal(X[i], K / frob(K))
+
+
+def test_skew_exp_rejects_bad_stacks():
+    with pytest.raises(ValueError):
+        skew_exp(np.full((3, 2, 2), np.nan))
+    with pytest.raises(ValueError):
+        skew_exp(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+    with pytest.raises(ValueError):
+        skew_exp(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        skew_exp(np.zeros(4))
 
 
 def test_cluster_desc_groups_near_degenerate():

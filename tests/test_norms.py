@@ -79,6 +79,30 @@ def test_gauge_batch_axis():
     assert gauge(kyfan(5), np.array([2.0, 1.0])) == pytest.approx(3.0)
 
 
+def test_evaluate_stack_equals_per_slice_bitwise():
+    rng = np.random.default_rng(5)
+    norms = [frobenius(), spectral(), kyfan(2), schatten(1), schatten(1.2), schatten(3),
+             schatten(80), schatten(math.inf)]
+    for d in range(1, 7):
+        A = rng.standard_normal((9, d, d)) + 1j * rng.standard_normal((9, d, d))
+        for norm in norms:
+            vals = evaluate(norm, A)
+            assert vals.shape == (9,)
+            for i in range(9):
+                single = evaluate(norm, A[i])
+                assert isinstance(single, float)
+                assert vals[i] == single
+        assert evaluate(schatten(3), A.reshape(3, 3, d, d)).shape == (3, 3)
+
+
+def test_evaluate_rejects_bad_stacks():
+    bad = np.zeros((4, 2, 2), dtype=complex)
+    bad[2, 1, 0] = np.nan
+    for A in (bad, np.zeros((4, 2, 3)), np.zeros(3), np.array([[1.0, np.inf], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            evaluate(frobenius(), A)
+
+
 def test_unitary_invariance_fuzz():
     rng = np.random.default_rng(7)
     norms = [frobenius(), schatten(1.5), schatten(3), spectral(), kyfan(2), schatten(1)]
