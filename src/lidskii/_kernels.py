@@ -1,123 +1,227 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, in NumPy.
 
-Each kernel exists twice: a loop form compiled with numba (default) and a
-stacked pure-NumPy form.  ``LIDSKII_PURE_NUMPY=1`` selects the NumPy path;
-both compute the same values on the same inputs.  All randomness is consumed
-as pre-generated Gaussian batches so the two paths stay bit-compatible at
-the sampling level.
+``lockstep_descent`` runs projected descent on the product of spheres for a
+``(B, d, k)`` stack of frames at once: every restart keeps its own step size,
+backtracking and stop state, and restarts that stop leave the active stack.
+Every stacked operation it uses (matmul, ``eigvalsh``, ``svd``, the
+reductions) gives each slice the bits it gives that slice alone, so a
+restart descends exactly as it would in a batch of one.  ``frame_descent`` is
+that batch of one for the squared Frobenius objective.
+
+``orbit_spectra`` and ``psd_spectra`` sample spectra over stacks of Haar and
+Wishart-like draws supplied as pre-generated Gaussian batches.
 """
+
+import math
 
 import numpy as np
 
-from .backend import USING_NUMBA, maybe_njit
+from .matrices import conj_t
+from .norms import evaluate, norm_gradient
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# why a restart stopped; ``STOPS`` names the codes
+CONVERGED, STALLED, MAX_ITERS, DIVERGED = range(4)
+STOPS = ("converged", "stalled_line_search", "max_iters", "diverged")
 
-def _frame_descent_impl(S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
-    # Projected gradient on the product of spheres ||g_i||^2 = a_i for the
-    # squared Frobenius objective ||S - G G^H||_F^2.  Euclidean gradient per
-    # column is -4 (S - G G^H) g_i; retraction rescales columns.
-    d, k = G0.shape
-    G = G0.copy()
-    SG = G @ np.ascontiguousarray(np.conj(G).T)
+
+class SquaredFrobenius:
+    """||S - S_G||_F^2, Euclidean gradient -4 (S - S_G) g_i per column.
+
+    Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 60 halvings.
+    Below 64 eps (1 + F) an Armijo decrease cannot be certified in float64,
+    so there any non-increasing step within that floor is accepted.
+    """
+
+    backtracks = 60
+    max_iters = 20000
+
+    @staticmethod
+    def value(X):
+        return np.add.reduce(np.square(np.abs(X)), axis=(-2, -1))
+
+    @staticmethod
+    def gradient(X, G):
+        return -4.0 * (X @ G)
+
+    @staticmethod
+    def slope(g2):
+        return g2
+
+    @staticmethod
+    def slack(F):
+        return 64.0 * _EPS * (1.0 + F)
+
+    @staticmethod
+    def ceiling(F, needed, slack, up):
+        """Largest accepted value: Armijo while it is resolvable, else F + slack."""
+        return np.where(needed >= slack, F - needed, up)
+
+
+class NormDistance:
+    """norm(S - S_G) for a smooth strictly convex norm, Euclidean gradient
+    -2 P g_i with P the norm's gradient at S - S_G.
+
+    Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 50 halvings;
+    a step within 1e-15 (1 + value) of the current value is also accepted.
+    """
+
+    backtracks = 50
+    max_iters = 4000
+
+    def __init__(self, norm):
+        if not norm.strictly_convex:
+            raise ValueError("subgradient descent expects a strictly convex norm")
+        self.norm = norm
+
+    def value(self, X):
+        return evaluate(self.norm, X)
+
+    def gradient(self, X, G):
+        return -2.0 * (norm_gradient(self.norm, X) @ G)
+
+    @staticmethod
+    def slope(g2):
+        # the squared gradient norm as sqrt(g2) ** 2 in the C library's pow,
+        # which differs from g2 and from NumPy's square in the last bit
+        return np.array([math.pow(g, 2.0) for g in np.sqrt(g2).tolist()])
+
+    @staticmethod
+    def slack(F):
+        return 1e-15 * (1.0 + F)
+
+    @staticmethod
+    def ceiling(F, needed, slack, up):
+        """Largest accepted value: the Armijo bound or F + slack."""
+        return np.maximum(F - needed, up)
+
+
+def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
+    """Projected gradient descent of every frame in a ``(B, d, k)`` stack.
+
+    Columns live on the spheres ||g_i||^2 = a_i: a step moves against the
+    Riemannian gradient (the Euclidean one minus its radial part) and
+    rescales each column back.  A restart stops when its gradient norm falls
+    below ``grad_tol`` (CONVERGED), when no backtracked step is accepted
+    (STALLED), when its objective turns non-finite (DIVERGED), or after
+    ``max_iters`` steps (MAX_ITERS).
+
+    Returns the final frames ``(B, d, k)``, one objective trace per restart
+    (the start value and one value per accepted step), the last computed
+    gradient norm per restart (inf if none was) and the stop codes.
+    """
+    S = np.ascontiguousarray(S, dtype=np.complex128)
+    G = np.array(G0, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    max_iters = int(max_iters)
+    n = G.shape[0]
+    G_out = G.copy()
+    traces = np.empty((n, max_iters + 1))
+    gnorm_out = np.full(n, np.inf)
+    stop_out = np.full(n, MAX_ITERS)
+    iters = np.full(n, max_iters)
+
+    # the active stack: original index, frame, S_G, residual, objective and
+    # the gradient at the frame; an accepted candidate's S_G, residual and
+    # value are carried into the next iteration
+    rows = np.arange(n)
+    SG = G @ conj_t(G)
     X = S - SG
-    F = np.sum(np.abs(X) ** 2)
-    trace = np.empty(max_iters + 1)
-    trace[0] = F
-    tn = 0
-    gnorm = 0.0
-    status = 0  # 0 stalled/max_iters, 1 converged, -1 diverged
-    for _ in range(max_iters):
-        EG = -4.0 * (X @ G)
-        tang = np.sum((np.conj(EG) * G).real, axis=0) / a
+    F = objective.value(X)
+    traces[:, 0] = F
+    gnorm = np.full(n, np.inf)
+
+    def retire(done, code, it):
+        nonlocal rows, G, SG, X, F, RG, g2, gnorm
+        who = rows[done]
+        G_out[who] = G[done]
+        gnorm_out[who] = gnorm[done]
+        stop_out[who] = code
+        iters[who] = it
+        keep = ~done
+        rows, G, SG, X, F, RG, g2, gnorm = (
+            v[keep] for v in (rows, G, SG, X, F, RG, g2, gnorm)
+        )
+
+    for it in range(max_iters):
+        EG = objective.gradient(X, G)
+        tang = np.add.reduce((np.conj(EG) * G).real, axis=-2, keepdims=True) / a
         RG = EG - G * tang
-        g2 = np.sum(np.abs(RG) ** 2)
+        g2 = np.add.reduce(np.square(np.abs(RG)), axis=(-2, -1))
         gnorm = np.sqrt(g2)
-        if gnorm < grad_tol:
-            status = 1
-            break
-        w = np.linalg.eigvalsh(SG)
-        eta = 1.0 / (8.0 * w[-1] + 1.0)
-        # below this resolution an Armijo decrease cannot be certified in
-        # float64; fall back to accepting any non-increasing step
-        floor = 64.0 * _EPS * (1.0 + F)
-        accepted = False
-        for _bt in range(60):
-            Gc = G - eta * RG
-            nn = np.sum(np.abs(Gc) ** 2, axis=0)
-            Gc = Gc * np.sqrt(a / nn)
-            SGc = Gc @ np.ascontiguousarray(np.conj(Gc).T)
-            Xc = S - SGc
-            Fc = np.sum(np.abs(Xc) ** 2)
-            needed = armijo_c * eta * g2
-            if needed >= floor:
-                ok = Fc <= F - needed
-            else:
-                ok = Fc <= F + floor
-            if ok:
-                G = Gc
-                SG = SGc
-                X = Xc
-                F = Fc
-                accepted = True
+        # the stack is small: any/all over tolist() beat NumPy's reductions
+        done = gnorm < grad_tol
+        if any(done.tolist()):
+            retire(done, CONVERGED, it)
+            if not rows.size:
                 break
-            eta *= backtrack
-        if not accepted:
-            break
-        if not np.isfinite(F):
-            status = -1
-            break
-        tn += 1
-        trace[tn] = F
-    return G, trace[: tn + 1].copy(), gnorm, status
+        eta = 1.0 / (8.0 * np.linalg.eigvalsh(SG)[:, -1] + 1.0)
+        slope = objective.slope(g2)
+        slack = objective.slack(F)
+        up = F + slack
 
-
-frame_descent_py = _frame_descent_impl
-frame_descent_jit = maybe_njit(cache=True)(_frame_descent_impl)
+        # backtracking; ``pend`` indexes the restarts still looking for a
+        # step, None while that is all of them
+        pend = None
+        Gp, RGp, Fp = G, RG, F
+        for _bt in range(objective.backtracks):
+            Gc = Gp - eta[:, np.newaxis, np.newaxis] * RGp
+            Gc = Gc * np.sqrt(a / np.add.reduce(np.square(np.abs(Gc)), axis=-2, keepdims=True))
+            SGc = Gc @ conj_t(Gc)
+            Xc = S - SGc
+            Fc = objective.value(Xc)
+            ok = Fc <= objective.ceiling(Fp, armijo_c * eta * slope, slack, up)
+            accepted = ok.tolist()
+            if all(accepted):
+                if pend is None:
+                    G, SG, X, F = Gc, SGc, Xc, Fc
+                else:
+                    G[pend], SG[pend], X[pend], F[pend] = Gc, SGc, Xc, Fc
+                break
+            if any(accepted):
+                if pend is None:
+                    pend = np.arange(rows.size)
+                took = pend[ok]
+                G[took], SG[took], X[took], F[took] = Gc[ok], SGc[ok], Xc[ok], Fc[ok]
+                miss = ~ok
+                pend, eta, slope, slack, up = (v[miss] for v in (pend, eta, slope, slack, up))
+                Gp, RGp, Fp = G[pend], RG[pend], F[pend]
+            eta = eta * backtrack
+        else:
+            stalled = np.zeros(rows.size, dtype=bool)
+            stalled[slice(None) if pend is None else pend] = True
+            retire(stalled, STALLED, it)
+        if not all(map(math.isfinite, F.tolist())):
+            retire(~np.isfinite(F), DIVERGED, it)
+        if not rows.size:
+            break
+        traces[rows, it + 1] = F
+    G_out[rows] = G
+    gnorm_out[rows] = gnorm
+    return G_out, [traces[i, : iters[i] + 1].copy() for i in range(n)], gnorm_out, stop_out
 
 
 def frame_descent(S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
-    fn = frame_descent_jit if USING_NUMBA else frame_descent_py
-    return fn(
-        np.ascontiguousarray(S, dtype=np.complex128),
-        np.ascontiguousarray(G0, dtype=np.complex128),
-        np.ascontiguousarray(a, dtype=np.float64),
-        int(max_iters),
-        float(grad_tol),
-        float(armijo_c),
-        float(backtrack),
+    """Squared-Frobenius descent of one ``(d, k)`` frame.
+
+    Returns ``(G, trace, grad_norm, status)`` with status 1 converged,
+    -1 diverged and 0 otherwise (stalled line search or iteration cap).
+    """
+    G, traces, gnorms, stops = lockstep_descent(
+        SquaredFrobenius, S, np.asarray(G0)[np.newaxis], a,
+        max_iters, grad_tol, armijo_c, backtrack,
     )
+    status = {CONVERGED: 1, DIVERGED: -1}.get(int(stops[0]), 0)
+    return G[0], traces[0], gnorms[0], status
 
 
-def _orbit_spectra_impl(S, dvals, gaussians):
-    # Spectra of S - Q D Q^H for Haar Q obtained by phase-fixed QR of each
-    # supplied Gaussian sample; rows of the output are non-increasing.
-    n = gaussians.shape[0]
-    d = S.shape[0]
-    D = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        D[j, j] = dvals[j]
-    out = np.empty((n, d))
-    for i in range(n):
-        Q, R = np.linalg.qr(np.ascontiguousarray(gaussians[i]))
-        for j in range(d):
-            r = R[j, j]
-            if np.abs(r) > 0:
-                Q[:, j] = Q[:, j] * (r / np.abs(r))
-        Qc = np.ascontiguousarray(Q)
-        Qh = np.ascontiguousarray(np.conj(Q).T)
-        M = S - Qc @ (D @ Qh)
-        w = np.linalg.eigvalsh(M)
-        out[i] = w[::-1]
-    return out
-
-
-orbit_spectra_py = _orbit_spectra_impl
-orbit_spectra_jit = maybe_njit(cache=True)(_orbit_spectra_impl)
-
-
-def _orbit_spectra_numpy(S, dvals, gaussians):
+def orbit_spectra(S, dvals, gaussians):
+    """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
+    Q_i from the phase-fixed QR of the i-th Gaussian matrix."""
+    S = np.ascontiguousarray(S, dtype=np.complex128)
+    dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
+    gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
     Q, R = np.linalg.qr(gaussians)
     diag = np.diagonal(R, axis1=-2, axis2=-1).copy()
     phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
@@ -128,49 +232,12 @@ def _orbit_spectra_numpy(S, dvals, gaussians):
     return w[..., ::-1].copy()
 
 
-def orbit_spectra(S, dvals, gaussians):
-    """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample."""
+def psd_spectra(S, t, gaussians):
+    """Eigenvalue rows of S - A over random PSD A = t W / tr(W), W = X X^H."""
     S = np.ascontiguousarray(S, dtype=np.complex128)
-    dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
     gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
-    if USING_NUMBA:
-        return orbit_spectra_jit(S, dvals, gaussians)
-    return _orbit_spectra_numpy(S, dvals, gaussians)
-
-
-def _psd_spectra_impl(S, t, gaussians):
-    # Spectra of S - A for A = t W / tr(W), W = X X^H Wishart-like samples.
-    n = gaussians.shape[0]
-    d = S.shape[0]
-    out = np.empty((n, d))
-    for i in range(n):
-        X = np.ascontiguousarray(gaussians[i])
-        W = X @ np.ascontiguousarray(np.conj(X).T)
-        tr = 0.0
-        for j in range(d):
-            tr += W[j, j].real
-        A = (t / tr) * W
-        w = np.linalg.eigvalsh(S - A)
-        out[i] = w[::-1]
-    return out
-
-
-psd_spectra_py = _psd_spectra_impl
-psd_spectra_jit = maybe_njit(cache=True)(_psd_spectra_impl)
-
-
-def _psd_spectra_numpy(S, t, gaussians):
     W = gaussians @ np.conj(np.swapaxes(gaussians, -1, -2))
     trs = np.trace(W, axis1=-2, axis2=-1).real
-    A = W * (t / trs)[:, np.newaxis, np.newaxis]
+    A = W * (float(t) / trs)[:, np.newaxis, np.newaxis]
     w = np.linalg.eigvalsh(S[np.newaxis] - A)
     return w[..., ::-1].copy()
-
-
-def psd_spectra(S, t, gaussians):
-    """Eigenvalue rows of S - A over random PSD A with trace t."""
-    S = np.ascontiguousarray(S, dtype=np.complex128)
-    gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
-    if USING_NUMBA:
-        return psd_spectra_jit(S, float(t), gaussians)
-    return _psd_spectra_numpy(S, float(t), gaussians)

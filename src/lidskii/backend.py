@@ -1,56 +1,5 @@
-"""Kernel backend selection.
-
-Hot inner loops live in ``_kernels`` and are JIT-compiled with numba by
-default.  Setting the environment variable ``LIDSKII_PURE_NUMPY=1`` (or any
-non-empty value other than ``0``) selects the plain NumPy implementations
-instead; the two paths compute identical values.  numba failing to import
-also falls back to NumPy.
-
-``LIDSKII_THREADS`` caps the number of worker threads used by restart
-fan-outs (default: serial).
-"""
-
-import os
-
-_flag = os.environ.get("LIDSKII_PURE_NUMPY", "").strip()
-PURE_NUMPY_REQUESTED = _flag not in ("", "0")
-
-if not PURE_NUMPY_REQUESTED:
-    try:
-        from numba import njit as _numba_njit
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_AVAILABLE = False
-else:
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE and not PURE_NUMPY_REQUESTED
+"""The numeric backend: every kernel in ``_kernels`` is plain NumPy."""
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def maybe_njit(*args, **kwargs):
-    """``numba.njit`` when the numba backend is active, identity otherwise."""
-    if USING_NUMBA:
-        return _numba_njit(*args, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-
-    def decorate(func):
-        return func
-
-    return decorate
-
-
-def worker_count(n_tasks: int) -> int:
-    """Number of worker threads for a fan-out of n_tasks seeded jobs."""
-    raw = os.environ.get("LIDSKII_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(cap, n_tasks))
+    return "numpy"

@@ -7,8 +7,9 @@ This module provides the water-filling PSD relaxation lower bound, the
 structural tests every local minimizer must pass (each vector an eigenvector
 of S - S_G, commuting spectra, aligned eigenvalues, per-cluster linear
 independence), the escape construction off dependent clusters, the
-global-optimality certificate for the single-eigenvalue case, and a
-projected gradient optimizer for the Frobenius objective.
+global-optimality certificate for the single-eigenvalue case, and
+projected gradient descent on the spheres, which runs seeded restarts in
+lockstep (``descend_restarts``, ``best_of_restarts``).
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .backend import worker_count
 from .curves import DROP_TOL, build_curve, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
@@ -30,7 +30,7 @@ from .matrices import (
     eigvalsh_desc,
     frob,
 )
-from .norms import NormSpec, evaluate, frobenius, norm_gradient
+from .norms import NormSpec, evaluate, frobenius
 
 SPHERE_TOL = 1e-8
 ESCAPE_T_MAX = 0.49
@@ -312,12 +312,58 @@ class DescentOptions:
 
 @dataclass
 class DescentTrace:
-    """Iteration log: squared-Frobenius objective per accepted step."""
+    """Iteration log: the objective at the start and after each accepted
+    step, the last gradient norm, and why the descent stopped (``stop`` is
+    "converged", "stalled_line_search" or "max_iters")."""
 
     objective: np.ndarray
     grad_norm: float
     iterations: int
     converged: bool
+    stop: str
+
+
+def _descend(objective, S, a, seeds, opts):
+    """One descent of ``objective`` per seed, in lockstep, in seed order."""
+    S = as_hermitian(S)
+    a = np.asarray(a, dtype=float).ravel()
+    if np.any(a <= 0):
+        raise ValueError("prescribed squared norms must be positive")
+    opts = opts or DescentOptions(max_iters=objective.max_iters)
+    seeds = list(seeds)
+    if opts.init is not None:
+        G0 = frame(opts.init, a).validate().vectors
+        G0 = np.repeat(G0[np.newaxis], len(seeds), axis=0)
+    else:
+        G0 = np.stack([random_frame(S.shape[0], a, s).vectors for s in seeds])
+    G, traces, gnorms, stops = _kernels.lockstep_descent(
+        objective, S, G0, a, opts.max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack
+    )
+    stops = [_kernels.STOPS[code] for code in stops.tolist()]
+    if "diverged" in stops or not all(np.isfinite(t).all() for t in traces):
+        raise FloatingPointError("frame descent diverged to a non-finite objective")
+    return [
+        (
+            FrameSequence(G[i], a),
+            DescentTrace(trace, float(gnorms[i]), len(trace) - 1, stop == "converged", stop),
+        )
+        for i, (trace, stop) in enumerate(zip(traces, stops))
+    ]
+
+
+def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = None):
+    """Descend one seeded restart per entry of ``seeds``, all in lockstep as
+    one ``(B, d, k)`` stack; returns (FrameSequence, DescentTrace) pairs in
+    seed order.
+
+    The Frobenius norm descends the squared distance as ``gradient_descent``
+    does, every other strictly convex norm the norm value as
+    ``subgradient_descent`` does.  Each restart gives bitwise the result it
+    gives on its own.
+    """
+    if norm.kind == "frobenius":
+        return _descend(_kernels.SquaredFrobenius, S, a, seeds, opts)
+    return _descend(_kernels.NormDistance(norm), S, a, seeds, opts)
 
 
 def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
@@ -326,106 +372,37 @@ def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
     The Euclidean gradient with respect to g_i is -4 (S - S_G) g_i; steps
     retract onto the spheres by rescaling, with Armijo backtracking from
     1 / (8 lam_1(S_G) + 1).  Runs until the Riemannian gradient norm falls
-    below ``grad_tol`` or the iteration budget is spent; the objective trace
-    is non-increasing within line-search resolution.  Deterministic per seed.
+    below ``grad_tol``, the line search stalls or the iteration budget is
+    spent; the objective trace is non-increasing within line-search
+    resolution.  Deterministic per seed.
     """
-    opts = opts or DescentOptions()
-    S = as_hermitian(S)
-    a = np.asarray(a, dtype=float).ravel()
-    if np.any(a <= 0):
-        raise ValueError("prescribed squared norms must be positive")
-    if opts.init is not None:
-        G0 = frame(opts.init, a).validate().vectors
-    else:
-        G0 = random_frame(S.shape[0], a, seed).vectors
-    G, trace, gnorm, status = _kernels.frame_descent(
-        S, G0, a, opts.max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack
-    )
-    if status == -1 or not np.all(np.isfinite(trace)):
-        raise FloatingPointError("frame descent diverged to a non-finite objective")
-    result = FrameSequence(G, a)
-    return result, DescentTrace(trace, float(gnorm), len(trace) - 1, status == 1)
-
-
-def best_of_restarts(norm: NormSpec, S, a, restarts: int, seed=0, opts=None):
-    """Run seeded descents and keep the configuration with the smallest
-    frame distance in the requested norm.  Restart results are merged in
-    seed order; LIDSKII_THREADS caps the worker pool."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    seeds = [int(seed) + i for i in range(restarts)]
-    if norm.kind == "frobenius":
-        runner = lambda s: gradient_descent(S, a, s, opts)  # noqa: E731
-    else:
-        runner = lambda s: subgradient_descent(norm, S, a, s, opts)  # noqa: E731
-    workers = worker_count(restarts)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, seeds))
-    else:
-        results = [runner(s) for s in seeds]
-    values = [frame_operator_distance(norm, S, g) for g, _ in results]
-    best = int(np.argmin(values))
-    G, tr = results[best]
-    return G, tr, float(values[best]), best
+    return _descend(_kernels.SquaredFrobenius, S, a, [seed], opts)[0]
 
 
 def subgradient_descent(norm: NormSpec, S, a, seed=0, opts: DescentOptions | None = None):
-    """Riemannian gradient descent for smooth strictly convex norms.
+    """Riemannian gradient descent on the norm value for smooth strictly
+    convex norms (default budget 4000 iterations).
 
     Exploration tool for the non-Frobenius conjecture harness; same
     retraction and stopping rule as the Frobenius path, plain step halving
     on the norm value itself.
     """
-    if not norm.strictly_convex:
-        raise ValueError("subgradient descent expects a strictly convex norm")
-    opts = opts or DescentOptions(max_iters=4000)
-    S = as_hermitian(S)
-    a = np.asarray(a, dtype=float).ravel()
-    rng_init = (
-        frame(opts.init, a).validate().vectors
-        if opts.init is not None
-        else random_frame(S.shape[0], a, seed).vectors
-    )
-    G = rng_init
-    trace = []
-    value = None
-    gnorm = np.inf
-    converged = False
-    for _ in range(opts.max_iters):
-        SG = G @ G.conj().T
-        X = S - SG
-        value = evaluate(norm, X)
-        trace.append(value)
-        P = norm_gradient(norm, X)
-        EG = -2.0 * (P @ G)
-        tang = np.sum((np.conj(EG) * G).real, axis=0) / a
-        RG = EG - G * tang
-        gnorm = float(np.sqrt(np.sum(np.abs(RG) ** 2)))
-        if gnorm < opts.grad_tol:
-            converged = True
-            break
-        lam1 = float(np.linalg.eigvalsh(SG)[-1])
-        eta = 1.0 / (8.0 * lam1 + 1.0)
-        accepted = False
-        for _bt in range(50):
-            Gc = G - eta * RG
-            Gc *= np.sqrt(a / np.sum(np.abs(Gc) ** 2, axis=0))
-            vc = evaluate(norm, S - Gc @ Gc.conj().T)
-            if vc <= value - opts.armijo_c * eta * gnorm**2 or vc <= value + 1e-15 * (
-                1.0 + value
-            ):
-                G = Gc
-                accepted = True
-                break
-            eta *= opts.backtrack
-        if not accepted:
-            break
-    return FrameSequence(G, a), DescentTrace(
-        np.asarray(trace), gnorm, len(trace) - 1, converged
-    )
+    return _descend(_kernels.NormDistance(norm), S, a, [seed], opts)[0]
+
+
+def best_of_restarts(norm: NormSpec, S, a, restarts: int, seed=0, opts=None):
+    """Descend the restarts seeded seed, seed + 1, ... in lockstep and keep
+    the configuration with the smallest frame distance in the requested
+    norm (the lowest seed on ties); returns it with its trace, distance and
+    restart index."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    results = descend_restarts(norm, S, a, range(int(seed), int(seed) + restarts), opts)
+    V = np.stack([G.vectors for G, _ in results])
+    values = evaluate(norm, as_hermitian(S) - _gram(V))
+    best = int(np.argmin(values))
+    G, tr = results[best]
+    return G, tr, float(values[best]), best
 
 
 def escape_move(S, G0: FrameSequence, cluster_index: int, tol: float = 1e-8, norm: NormSpec | None = None):

@@ -11,7 +11,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .matrices import require_square, square_stack
+from .matrices import square_stack
 
 # exponent beyond which (sum s^p)^(1/p) is evaluated in stabilized form
 _LARGE_P = 50.0
@@ -168,17 +168,16 @@ def distance_from(norm: NormSpec, S):
 
 
 def norm_gradient(norm: NormSpec, A) -> np.ndarray:
-    """Gradient of A -> norm(A) for smooth (Schatten, 1 < p < inf) norms.
+    """Gradient of A -> norm(A) for smooth (Schatten, 1 < p < inf) norms, on
+    a square matrix or on every matrix of a ``(..., d, d)`` stack.
 
     At A = 0 the norm is not differentiable; the zero matrix is returned.
     """
     if not norm.strictly_convex:
         raise ValueError("norm gradient implemented for strictly convex norms only")
-    A = require_square(A)
-    W, s, Xh = np.linalg.svd(A)
-    total = float(gauge(norm, s))
-    if total == 0.0:
-        return np.zeros_like(A)
+    W, s, Xh = np.linalg.svd(square_stack(A))
+    total = np.asarray(gauge(norm, s))[..., np.newaxis]
     p = 2.0 if norm.kind == "frobenius" else norm.p
-    f = (s / total) ** (p - 1.0)
-    return (W * f[np.newaxis, :]) @ Xh
+    # a zero matrix has s = 0: dividing by 1 instead of 0 gives it f = 0
+    f = (s / (total + (total == 0.0))) ** (p - 1.0)
+    return (W * f[..., np.newaxis, :]) @ Xh

@@ -787,8 +787,8 @@ def descent_structure_margins(n_inst, seed, dmax=4, restarts=1, grad_cut=1e-9, t
         V = haar_unitary(d, rng)
         S = (V * lam[np.newaxis, :]) @ V.conj().T
         S = (S + S.conj().T) / 2
-        for r in range(restarts):
-            G, tr = frames.gradient_descent(S, a, seed=int(rng.integers(0, 2**31)))
+        seeds = [int(rng.integers(0, 2**31)) for _r in range(restarts)]
+        for G, tr in frames.descend_restarts(frobenius(), S, a, seeds):
             if tr.grad_norm >= grad_cut:
                 continue
             converged += 1

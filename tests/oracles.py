@@ -4,11 +4,15 @@ These deliberately take different computational routes than the library:
 the kernel systems are assembled from Kronecker products and commutation
 matrices acting on realified coordinates (the library loops over structured
 basis matrices), water filling is solved by bisection (the library
-solves the piecewise-linear equation in closed form), and the orbit
+solves the piecewise-linear equation in closed form), the orbit
 certifiers' witness searches run one try and one curve sample at a time
 (the library screens all tries of a radius and samples a whole curve as
-one stack).
+one stack), the spectrum samplers run one sample at a time, and the frame
+descents run one restart at a time on 2-d arrays (the library descends a
+stack of restarts in lockstep).
 """
+
+import math
 
 import numpy as np
 
@@ -234,3 +238,107 @@ def sv_witness_search(norm, A, B, psi0, seed):
             if trimmed is not None:
                 return trimmed
     return None
+
+
+# ---------------------------------------------------------------------------
+# spectrum samplers, one sample at a time
+
+
+def orbit_spectra_loop(S, dvals, gaussians):
+    """Spectra of S - Q D Q^H, Q from the phase-fixed QR of each sample."""
+    S = np.asarray(S, dtype=complex)
+    D = np.diag(np.asarray(dvals, dtype=complex))
+    out = np.empty((len(gaussians), S.shape[0]))
+    for i, Z in enumerate(gaussians):
+        Q, R = np.linalg.qr(Z)
+        for j in range(Q.shape[1]):
+            r = R[j, j]
+            if abs(r) > 0:
+                Q[:, j] *= r / abs(r)
+        out[i] = np.linalg.eigvalsh(S - Q @ D @ Q.conj().T)[::-1]
+    return out
+
+
+def psd_spectra_loop(S, t, gaussians):
+    """Spectra of S - t W / tr(W) with W = X X^H for each sample X."""
+    S = np.asarray(S, dtype=complex)
+    out = np.empty((len(gaussians), S.shape[0]))
+    for i, Z in enumerate(gaussians):
+        W = Z @ Z.conj().T
+        out[i] = np.linalg.eigvalsh(S - (t / np.trace(W).real) * W)[::-1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# frame descents, one restart at a time
+
+
+def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, backtrack=0.5):
+    """Squared-Frobenius projected descent of one frame; returns the frame,
+    the objective trace, the last gradient norm and the stop reason."""
+    eps = float(np.finfo(float).eps)
+    G = np.array(G0, dtype=complex)
+    SG = G @ G.conj().T
+    X = S - SG
+    F = np.sum(np.abs(X) ** 2)
+    trace = [F]
+    gnorm, stop = math.inf, "max_iters"
+    for _ in range(max_iters):
+        EG = -4.0 * (X @ G)
+        RG = EG - G * (np.sum((np.conj(EG) * G).real, axis=0) / a)
+        g2 = np.sum(np.abs(RG) ** 2)
+        gnorm = np.sqrt(g2)
+        if gnorm < grad_tol:
+            stop = "converged"
+            break
+        eta = 1.0 / (8.0 * np.linalg.eigvalsh(SG)[-1] + 1.0)
+        floor = 64.0 * eps * (1.0 + F)
+        for _bt in range(60):
+            Gc = G - eta * RG
+            Gc = Gc * np.sqrt(a / np.sum(np.abs(Gc) ** 2, axis=0))
+            SGc = Gc @ Gc.conj().T
+            Fc = np.sum(np.abs(S - SGc) ** 2)
+            needed = armijo_c * eta * g2
+            if Fc <= (F - needed if needed >= floor else F + floor):
+                break
+            eta *= backtrack
+        else:
+            stop = "stalled_line_search"
+            break
+        G, SG, X, F = Gc, SGc, S - SGc, Fc
+        trace.append(F)
+    return G, np.array(trace), float(gnorm), stop
+
+
+def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, backtrack=0.5):
+    """Projected descent of norm(S - S_G) for one frame, recomputing S_G,
+    the residual and the value at every iterate; same return values."""
+    G = np.array(G0, dtype=complex)
+    trace = []
+    gnorm, stop = math.inf, "max_iters"
+    for _ in range(max_iters):
+        SG = G @ G.conj().T
+        X = S - SG
+        value = evaluate(norm, X)
+        trace.append(value)
+        EG = -2.0 * (norm_gradient(norm, X) @ G)
+        RG = EG - G * (np.sum((np.conj(EG) * G).real, axis=0) / a)
+        gnorm = float(np.sqrt(np.sum(np.abs(RG) ** 2)))
+        if gnorm < grad_tol:
+            stop = "converged"
+            break
+        eta = 1.0 / (8.0 * float(np.linalg.eigvalsh(SG)[-1]) + 1.0)
+        for _bt in range(50):
+            Gc = G - eta * RG
+            Gc *= np.sqrt(a / np.sum(np.abs(Gc) ** 2, axis=0))
+            vc = evaluate(norm, S - Gc @ Gc.conj().T)
+            if vc <= value - armijo_c * eta * gnorm**2 or vc <= value + 1e-15 * (1.0 + value):
+                G = Gc
+                break
+            eta *= backtrack
+        else:
+            stop = "stalled_line_search"
+            break
+    else:
+        trace.append(evaluate(norm, S - G @ G.conj().T))
+    return G, np.array(trace), gnorm, stop

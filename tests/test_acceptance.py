@@ -256,8 +256,8 @@ def test_criterion_09_fod_descent_structure():
         S = (V * lam) @ V.conj().T
         S = (S + S.conj().T) / 2
         bound, _ = frames.psd_lower_bound(norm, S, float(np.sum(a)))
-        for r in range(8):
-            G, tr = frames.gradient_descent(S, a, seed=int(rng.integers(0, 2**31)))
+        seeds = [int(rng.integers(0, 2**31)) for _r in range(8)]
+        for G, tr in frames.descend_restarts(norm, S, a, seeds):
             if tr.grad_norm >= 1e-9:
                 continue
             converged += 1

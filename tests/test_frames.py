@@ -256,17 +256,75 @@ def test_fitted_eigenvalues_match_rayleigh():
         assert resid[j] >= 0
 
 
-def test_best_of_restarts_deterministic_across_worker_counts(monkeypatch):
-    rng = np.random.default_rng(6)
+def _restart_instance(seed):
+    rng = np.random.default_rng(seed)
     lam = sort_desc(rng.uniform(0, 3, 3))
     V = haar_unitary(3, rng)
     S = (V * lam) @ V.conj().T
     S = (S + S.conj().T) / 2
+    return S, rng.uniform(0.5, 1.5, 4)
+
+
+@pytest.mark.parametrize(
+    "norm, alone",
+    [
+        (frobenius(), lambda norm, *args: gradient_descent(*args)),
+        (schatten(3), subgradient_descent),
+    ],
+    ids=["frobenius", "schatten3"],
+)
+def test_best_of_restarts_matches_restarts_run_alone(norm, alone):
+    S, a = _restart_instance(6)
+    opts = DescentOptions(max_iters=600)
+    G, tr, theta, best = frames.best_of_restarts(norm, S, a, restarts=4, seed=11, opts=opts)
+    runs = [alone(norm, S, a, 11 + i, opts) for i in range(4)]
+    values = [frame_operator_distance(norm, S, g) for g, _ in runs]
+    assert best == int(np.argmin(values)) and theta == values[best]
+    G1, tr1 = runs[best]
+    assert np.array_equal(G.vectors, G1.vectors)
+    assert np.array_equal(tr.objective, tr1.objective)
+    assert (tr.grad_norm, tr.iterations, tr.converged, tr.stop) == (
+        tr1.grad_norm, tr1.iterations, tr1.converged, tr1.stop
+    )
+
+
+def test_descend_restarts_keeps_seed_order():
+    S, a = _restart_instance(7)
+    seeds = [5, 3, 9]
+    batch = frames.descend_restarts(frobenius(), S, a, seeds, DescentOptions(max_iters=300))
+    for s, (G, tr) in zip(seeds, batch):
+        G1, tr1 = gradient_descent(S, a, s, DescentOptions(max_iters=300))
+        assert np.array_equal(G.vectors, G1.vectors)
+        assert np.array_equal(tr.objective, tr1.objective)
+
+
+def test_capped_norm_descent_trace_ends_at_the_returned_frame():
+    S, a = _restart_instance(8)
+    G, tr = subgradient_descent(schatten(3), S, a, seed=4, opts=DescentOptions(max_iters=60))
+    assert tr.stop == "max_iters" and not tr.converged
+    assert len(tr.objective) == tr.iterations + 1 == 61
+    theta = frame_operator_distance(schatten(3), S, G)
+    assert abs(tr.objective[-1] - theta) <= 1e-14 * theta
+    G, tr = gradient_descent(S, a, seed=4, opts=DescentOptions(max_iters=60))
+    assert tr.stop == "max_iters" and len(tr.objective) == tr.iterations + 1 == 61
+
+
+def test_descent_stop_reasons():
+    # Frobenius: S attained, a line search that may not shrink its step
+    # (backtrack 1) with Armijo c = 0.75 stalls from some starts
+    rng = np.random.default_rng(2)
     a = rng.uniform(0.5, 1.5, 4)
-    monkeypatch.delenv("LIDSKII_THREADS", raising=False)
-    serial = frames.best_of_restarts(frobenius(), S, a, restarts=4, seed=11)
-    monkeypatch.setenv("LIDSKII_THREADS", "3")
-    pooled = frames.best_of_restarts(frobenius(), S, a, restarts=4, seed=11)
-    assert serial[3] == pooled[3]  # same winning restart, merged in seed order
-    assert serial[2] == pytest.approx(pooled[2], abs=0)
-    assert np.array_equal(serial[0].vectors, pooled[0].vectors)
+    S = frame_operator(random_frame(3, a, rng))
+    unshrinkable = DescentOptions(max_iters=200, armijo_c=0.75, backtrack=1.0)
+    stops = [tr.stop for _G, tr in frames.descend_restarts(frobenius(), S, a, range(3), unshrinkable)]
+    assert stops == ["max_iters", "converged", "stalled_line_search"]
+    # Schatten-3: a critical point converges at once; from random starts the
+    # unshrinkable line search stalls or runs into the cap
+    S = np.diag([2.0, 1.0])
+    a = np.array([2.0, 1.0])
+    critical = np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]])
+    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(init=critical))
+    assert tr.stop == "converged" and tr.iterations == 0
+    unshrinkable = DescentOptions(max_iters=40, backtrack=1.0)
+    stops = {tr.stop for _G, tr in frames.descend_restarts(schatten(3), S, a, range(8), unshrinkable)}
+    assert stops == {"stalled_line_search", "max_iters"}

@@ -1,19 +1,28 @@
-"""Backend parity: the numba-compiled kernels and the pure NumPy paths must
-produce the same values on the same inputs."""
+"""The stacked kernels against their one-at-a-time references: the spectrum
+samplers against per-sample loops, and the lockstep descent against the
+same restarts descended alone, as a batch of one and as the serial loop."""
 
 import numpy as np
+import pytest
 
+from oracles import frame_descent_serial, norm_descent_serial, orbit_spectra_loop, psd_spectra_loop
 from lidskii import _kernels
-from lidskii.backend import USING_NUMBA, backend_name
+from lidskii.backend import backend_name
+from lidskii.frames import frame_operator, random_frame
 from lidskii.matrices import random_hermitian
+from lidskii.norms import schatten
 
 
 def _gaussians(rng, n, d):
     return (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
 
 
+def _on_spheres(V, a):
+    return V * np.sqrt(a / np.sum(np.abs(V) ** 2, axis=0))
+
+
 def test_backend_name_reports():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
 
 
 def test_orbit_spectra_paths_agree():
@@ -22,16 +31,7 @@ def test_orbit_spectra_paths_agree():
     S = random_hermitian(d, rng)
     mu = np.array([2.0, 1.0, 0.5, -1.0]).astype(complex)
     gs = _gaussians(rng, 32, d)
-    loop = _kernels.orbit_spectra_py(S.astype(complex), mu, gs)
-    stacked = _kernels._orbit_spectra_numpy(S.astype(complex), mu, gs)
-    assert np.allclose(loop, stacked, atol=1e-12)
-    dispatched = _kernels.orbit_spectra(S, mu, gs)
-    assert np.allclose(dispatched, loop, atol=1e-12)
-    if USING_NUMBA:
-        jit = _kernels.orbit_spectra_jit(
-            np.ascontiguousarray(S.astype(complex)), mu, np.ascontiguousarray(gs)
-        )
-        assert np.allclose(jit, loop, atol=1e-12)
+    assert np.allclose(_kernels.orbit_spectra(S, mu, gs), orbit_spectra_loop(S, mu, gs), atol=1e-12)
 
 
 def test_psd_spectra_paths_agree():
@@ -39,39 +39,119 @@ def test_psd_spectra_paths_agree():
     d = 3
     S = random_hermitian(d, rng)
     gs = _gaussians(rng, 24, d)
-    loop = _kernels.psd_spectra_py(S.astype(complex), 2.0, gs)
-    stacked = _kernels._psd_spectra_numpy(S.astype(complex), 2.0, gs)
-    assert np.allclose(loop, stacked, atol=1e-12)
+    stacked = _kernels.psd_spectra(S, 2.0, gs)
+    assert np.allclose(stacked, psd_spectra_loop(S, 2.0, gs), atol=1e-12)
     # sampled matrices are PSD trace-t differences: rows non-increasing
-    assert np.all(np.diff(loop, axis=-1) <= 1e-12)
+    assert np.all(np.diff(stacked, axis=-1) <= 1e-12)
+
+
+def _objectives():
+    return [
+        (_kernels.SquaredFrobenius, frame_descent_serial),
+        (_kernels.NormDistance(schatten(3)), lambda *args: norm_descent_serial(schatten(3), *args)),
+    ]
+
+
+def _assert_batch_matches_alone(objective, serial, S, G0, a, max_iters, *opts):
+    """Every slice of a lockstep batch equals the restart descended alone:
+    as a batch of one and as the serial loop, bit for bit."""
+    G, traces, gnorms, stops = _kernels.lockstep_descent(objective, S, G0, a, max_iters, *opts)
+    for i in range(G0.shape[0]):
+        G1, traces1, gnorms1, stops1 = _kernels.lockstep_descent(
+            objective, S, G0[i : i + 1], a, max_iters, *opts
+        )
+        Gs, trace_s, gnorm_s, stop_s = serial(S, G0[i], a, max_iters, *opts)
+        for frame_, trace, gnorm, stop in (
+            (G1[0], traces1[0], gnorms1[0], stops1[0]),
+            (Gs, trace_s, gnorm_s, _kernels.STOPS.index(stop_s)),
+        ):
+            assert np.array_equal(G[i], frame_)
+            assert np.array_equal(traces[i], trace)
+            assert gnorms[i] == gnorm
+            assert stops[i] == stop
+    return traces, stops
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["frobenius", "schatten3"])
+def test_lockstep_batch_matches_single_restarts(which):
+    objective, serial = _objectives()[which]
+    rng = np.random.default_rng(2 + which)
+    for d, k in ((2, 2), (3, 5), (4, 6)):
+        S = random_hermitian(d, rng)
+        S = (S @ S.conj().T).astype(complex)
+        a = rng.uniform(0.5, 1.5, k)
+        G0 = np.stack([random_frame(d, a, s).vectors for s in range(5)])
+        _traces, stops = _assert_batch_matches_alone(objective, serial, S, G0, a, 400, 1e-9, 1e-4, 0.5)
+        assert _kernels.CONVERGED in stops or _kernels.MAX_ITERS in stops
+
+
+def test_frobenius_batch_mixing_every_stop():
+    # S is attained at G*, where the gradient vanishes; the line search may
+    # not shrink its step (backtrack 1), so a restart stalls at the first
+    # step that fails Armijo with c = 0.75
+    rng = np.random.default_rng(2)
+    d, k = 3, 4
+    a = rng.uniform(0.5, 1.5, k)
+    Gstar = random_frame(d, a, rng)
+    S = frame_operator(Gstar)
+    G0 = np.stack([Gstar.vectors] + [random_frame(d, a, s).vectors for s in range(3)])
+    traces, stops = _assert_batch_matches_alone(
+        _kernels.SquaredFrobenius, frame_descent_serial, S, G0, a, 200, 1e-9, 0.75, 1.0
+    )
+    names = [_kernels.STOPS[s] for s in stops]
+    assert names[0] == "converged" and len(traces[0]) == 1
+    assert set(names[1:]) == {"converged", "stalled_line_search", "max_iters"}
+    assert len(traces[names.index("max_iters")]) == 201
+
+
+def test_norm_batch_mixing_stops():
+    # diag(sqrt 2, 0), (1, 0) is a critical point of the Schatten distance
+    # to diag(2, 1); from random starts the unshrinkable line search stalls
+    # at different iterations or runs into the cap
+    S = np.diag([2.0, 1.0]).astype(complex)
+    a = np.array([2.0, 1.0])
+    critical = np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]], dtype=complex)
+    G0 = np.stack([critical] + [random_frame(2, a, s).vectors for s in range(8)])
+    objective, serial = _objectives()[1]
+    traces, stops = _assert_batch_matches_alone(objective, serial, S, G0, a, 40, 1e-9, 1e-4, 1.0)
+    names = [_kernels.STOPS[s] for s in stops]
+    assert names[0] == "converged" and len(traces[0]) == 1
+    assert {"stalled_line_search", "max_iters"} <= set(names)
+    capped = names.index("max_iters")
+    assert len(traces[capped]) == 41
+
+
+def _reference_instance(seed, d, k, a=None):
+    rng = np.random.default_rng(seed)
+    S = random_hermitian(d, rng)
+    S = (S @ S.conj().T).astype(complex)
+    a = rng.uniform(0.5, 1.5, k) if a is None else a
+    G0 = _on_spheres(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)), a)
+    return S, G0, a
 
 
 def test_frame_descent_paths_agree():
-    rng = np.random.default_rng(2)
-    d, k = 3, 5
-    S = random_hermitian(d, rng)
-    S = (S @ S.conj().T).astype(complex)
-    G0 = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    a = rng.uniform(0.5, 1.5, k)
-    G0 *= np.sqrt(a / np.sum(np.abs(G0) ** 2, axis=0))
-    args = (S, G0.astype(complex), a, 500, 1e-9, 1e-4, 0.5)
-    G_py, tr_py, g_py, st_py = _kernels.frame_descent_py(*args)
-    G_disp, tr_disp, g_disp, st_disp = _kernels.frame_descent(*args)
-    assert st_py == st_disp
-    assert len(tr_py) == len(tr_disp)
-    assert np.allclose(tr_py, tr_disp, rtol=1e-12, atol=1e-12)
-    assert np.allclose(G_py, G_disp, atol=1e-10)
-    assert abs(g_py - g_disp) <= 1e-12 * (1 + g_py)
+    # the 2-d wrapper, the lockstep kernel at B = 1 and the serial loop
+    S, G0, a = _reference_instance(2, 3, 5)
+    G, trace, gnorm, status = _kernels.frame_descent(S, G0, a, 500, 1e-9, 1e-4, 0.5)
+    Gs, trace_s, gnorm_s, stop_s = frame_descent_serial(S, G0, a, 500, 1e-9, 1e-4, 0.5)
+    assert np.array_equal(G, Gs) and np.array_equal(trace, trace_s) and gnorm == gnorm_s
+    assert status == {"converged": 1}.get(stop_s, 0)
+    # status 0 covers both the iteration cap and a stalled line search
+    _G, trace, _g, status = _kernels.frame_descent(S, G0, a, 5, 1e-9, 1e-4, 0.5)
+    assert status == 0 and len(trace) == 6
 
 
 def test_frame_descent_trace_monotone():
-    rng = np.random.default_rng(3)
-    d, k = 4, 6
-    S = random_hermitian(d, rng)
-    S = (S @ S.conj().T).astype(complex)
-    G0 = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    a = np.ones(k)
-    G0 *= np.sqrt(a / np.sum(np.abs(G0) ** 2, axis=0))
+    S, G0, a = _reference_instance(3, 4, 6, a=np.ones(6))
     _G, trace, _g, _st = _kernels.frame_descent(S, G0, a, 2000, 1e-9, 1e-4, 0.5)
     slack = 1e-12 * (1 + trace[0])
     assert np.all(np.diff(trace) <= slack)
+
+
+def test_norm_slope_squares_like_the_scalar_loop():
+    # the one-restart loop squared the gradient norm as a Python float,
+    # which rounds through the C library's pow, not through x * x
+    g2 = np.random.default_rng(4).uniform(1e-20, 1e3, 10000)
+    expected = [float(np.sqrt(x)) ** 2 for x in g2]
+    assert _kernels.NormDistance.slope(g2).tolist() == expected

@@ -133,6 +133,26 @@ def test_norm_gradient_is_first_order():
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_norm_gradient_stack_equals_per_slice_bitwise():
+    rng = np.random.default_rng(11)
+    for d in range(1, 6):
+        A = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+        A[3] = 0.0
+        for n in (frobenius(), schatten(1.2), schatten(1.5), schatten(3), schatten(4)):
+            P = norm_gradient(n, A)
+            assert P.shape == A.shape
+            assert np.array_equal(P[3], np.zeros((d, d)))
+            for i in range(7):
+                assert np.array_equal(P[i], norm_gradient(n, A[i]))
+                if i == 3:
+                    continue
+                # the 2-d formula: U diag((s / norm)^(p - 1)) V^H
+                W, sv, Xh = np.linalg.svd(A[i])
+                p = 2.0 if n.kind == "frobenius" else n.p
+                f = (sv / float(gauge(n, sv))) ** (p - 1.0)
+                assert np.array_equal(P[i], (W * f[np.newaxis, :]) @ Xh)
+
+
 def test_norm_gradient_refuses_nonsmooth():
     with pytest.raises(ValueError):
         norm_gradient(spectral(), np.eye(2))
