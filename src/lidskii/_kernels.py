@@ -9,14 +9,17 @@ restart descends exactly as it would in a batch of one.  ``frame_descent`` is
 that batch of one for the squared Frobenius objective.
 
 ``orbit_spectra`` and ``psd_spectra`` sample spectra over stacks of Haar and
-Wishart-like draws supplied as pre-generated Gaussian batches.
+Wishart-like draws supplied as pre-generated ``(n, d, d)`` Gaussian batches.
+``orbit_spectra`` turns its batch into Haar unitaries with one stacked
+``matrices.haar_qr``, the phase-fixed QR that ``haar_unitary`` and the
+singular-value-orbit sampler also use.
 """
 
 import math
 
 import numpy as np
 
-from .matrices import conj_t
+from .matrices import conj_t, haar_qr
 from .norms import evaluate, norm_gradient
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -218,16 +221,12 @@ def frame_descent(S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
 
 def orbit_spectra(S, dvals, gaussians):
     """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
-    Q_i from the phase-fixed QR of the i-th Gaussian matrix."""
+    Q_i = ``haar_qr`` of the i-th complex Gaussian matrix."""
     S = np.ascontiguousarray(S, dtype=np.complex128)
     dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
     gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
-    Q, R = np.linalg.qr(gaussians)
-    diag = np.diagonal(R, axis1=-2, axis2=-1).copy()
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    Q = Q * phases[:, np.newaxis, :]
-    Qh = np.conj(np.swapaxes(Q, -1, -2))
-    M = S[np.newaxis] - Q @ (dvals[:, np.newaxis] * Qh)
+    Q = haar_qr(gaussians)
+    M = S[np.newaxis] - Q @ (dvals[:, np.newaxis] * conj_t(Q))
     w = np.linalg.eigvalsh(M)
     return w[..., ::-1].copy()
 

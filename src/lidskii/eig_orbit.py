@@ -30,10 +30,12 @@ from .matrices import (
     as_hermitian,
     as_rng,
     check_unitary,
+    cluster_desc,
     commutator,
     conj_t,
     eigh,
     frob,
+    haar_unitary,
     skew_exp,
 )
 from .norms import NormSpec, distance_from, evaluate, gauge_from_eigs, norm_gradient
@@ -74,6 +76,15 @@ def rotated_distance(norm: NormSpec, S, G0, U, V) -> float:
     return evaluate(norm, U.conj().T @ S @ U - V.conj().T @ G0 @ V)
 
 
+def _spectrum(mu, d):
+    """The target spectrum, checked against the dimension d and sorted
+    non-increasingly."""
+    mu = sort_desc(mu)
+    if mu.size != d:
+        raise ValueError(f"length mismatch: spectrum {mu.size}, matrix {(d, d)}")
+    return mu
+
+
 def global_minimizer(S, mu) -> np.ndarray:
     """Hermitian matrix with spectrum mu minimizing norm(S - G) on its orbit.
 
@@ -83,9 +94,7 @@ def global_minimizer(S, mu) -> np.ndarray:
     unitarily invariant norm.
     """
     S = as_hermitian(S)
-    mu = sort_desc(mu)
-    if mu.size != S.shape[0]:
-        raise ValueError(f"length mismatch: spectrum {mu.size}, matrix {S.shape}")
+    mu = _spectrum(mu, S.shape[0])
     lam, V = eigh(S)
     G = (V * mu[np.newaxis, :]) @ V.conj().T
     return (G + G.conj().T) / 2.0
@@ -105,8 +114,6 @@ def joint_diagonalize(S, G0, gap_tol: float = GAP_TOL):
     lam, V = eigh(S)
     d = lam.size
     nu = np.empty(d)
-    from .matrices import cluster_desc
-
     for idx in cluster_desc(lam, gap_tol):
         cols = V[:, idx]
         block = cols.conj().T @ G0 @ cols
@@ -251,8 +258,6 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
 
 def random_orbit_point(mu, seed) -> np.ndarray:
     """Haar-random Hermitian matrix with the given spectrum."""
-    from .matrices import haar_unitary
-
     mu = sort_desc(mu)
     U = haar_unitary(mu.size, seed)
     G = (U.conj().T * mu[np.newaxis, :]) @ U
@@ -262,8 +267,8 @@ def random_orbit_point(mu, seed) -> np.ndarray:
 def orbit_sample_values(norm: NormSpec, S, mu, n: int, seed) -> np.ndarray:
     """Objective values norm(S - G) over n Haar samples G of the orbit."""
     S = as_hermitian(S)
-    mu = sort_desc(mu)
     d = S.shape[0]
+    mu = _spectrum(mu, d)
     rng = as_rng(seed)
     gaussians = (
         rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))

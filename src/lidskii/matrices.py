@@ -154,17 +154,28 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
+def haar_qr(Z) -> np.ndarray:
+    """Haar-distributed unitaries from a ``(..., d, d)`` stack of standard
+    complex Gaussian matrices: the QR factor Q of each, with the phases of
+    R's diagonal pushed into its columns (Mezzadri, 2007).
+
+    The stacked QR gives every slice the bits the 2-d call gives it.
+    """
+    Q, R = np.linalg.qr(Z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
+    return Q * phases[..., np.newaxis, :]
+
+
 def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with the R diagonal
-    phases pushed into Q.  Deterministic for a fixed seed."""
+    """Haar-distributed unitary, ``haar_qr`` of one complex Gaussian whose
+    real and then imaginary part are drawn from the seed.  Deterministic for
+    a fixed seed."""
     if d < 1:
         raise ValueError("dimension must be positive")
     rng = as_rng(seed)
     Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R)
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return Q * phases[np.newaxis, :]
+    return haar_qr(Z)
 
 
 def random_hermitian(d: int, seed, scale: float = 1.0) -> np.ndarray:

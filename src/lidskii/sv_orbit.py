@@ -29,17 +29,19 @@ from .matrices import (
     cluster_desc,
     conj_t,
     frob,
+    haar_qr,
     require_square,
     skew_exp,
     svd,
     svdvals,
 )
-from .norms import NormSpec, distance_from, evaluate, norm_gradient
+from .norms import NormSpec, distance_from, evaluate, gauge, norm_gradient
 
 ZERO_SV_REL = 1e-9
 ZERO_SV_ABS = 1e-12
 SEARCH_RADII = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SEARCH_TRIES = 32
+SAMPLE_BLOCK = 512  # Haar samples per stacked block
 
 
 @dataclass
@@ -81,6 +83,17 @@ def orbit_distance(norm: NormSpec, A, C) -> float:
     return evaluate(norm, A - C)
 
 
+def _target(s, d):
+    """The target singular values, checked against the dimension d and sorted
+    non-increasingly."""
+    s = np.asarray(s, dtype=float).ravel()
+    if s.size != d:
+        raise ValueError(f"length mismatch: {s.size} vs {d}")
+    if np.any(s < 0):
+        raise ValueError("target singular values must be non-negative")
+    return sort_desc(s)
+
+
 def global_minimizer(A, s) -> np.ndarray:
     """Matrix with singular values s minimizing norm(A - C) on the orbit.
 
@@ -88,12 +101,7 @@ def global_minimizer(A, s) -> np.ndarray:
     |s(A) - s| sorted non-increasingly.
     """
     A = require_square(A)
-    s = np.asarray(s, dtype=float).ravel()
-    if s.size != A.shape[0]:
-        raise ValueError(f"length mismatch: {s.size} vs {A.shape[0]}")
-    if np.any(s < 0):
-        raise ValueError("target singular values must be non-negative")
-    s = sort_desc(s)
+    s = _target(s, A.shape[0])
     V, sa, U = svd(A)
     return (V.conj().T * s[np.newaxis, :]) @ U
 
@@ -298,24 +306,32 @@ def equality_case(A, B, tol: float = 1e-7) -> bool:
 
 
 def sv_orbit_sample_values(norm: NormSpec, A, s, n: int, seed) -> np.ndarray:
-    """Objective values over n Haar samples X^H D_s Y of the orbit."""
+    """Objective values over n Haar samples X^H D_s Y of the orbit.
+
+    The samples are taken in blocks of 512 (``SAMPLE_BLOCK``; the last block
+    holds the rest), which bounds the memory.  A block of m samples draws
+    the Gaussians of all its X's with one ``standard_normal((m, 2, d, d))``
+    (real, then imaginary part of each sample), then those of its Y's the
+    same way, and turns each draw into unitaries with one stacked
+    ``haar_qr``.  That is the stream one ``haar_unitary(d, rng)`` per sample
+    reads, the block's X's before its Y's, so the values and the state left
+    in a shared Generator are those of the per-sample loop.
+    """
     A = require_square(A)
-    s = sort_desc(s)
     d = A.shape[0]
+    s = _target(s, d)
     rng = as_rng(seed)
-    from .matrices import haar_unitary
+
+    def haar_block(m):
+        g = rng.standard_normal((m, 2, d, d))
+        return haar_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
 
     vals = np.empty(n)
-    block = 512
-    i = 0
-    while i < n:
-        m = min(block, n - i)
-        Xs = np.stack([haar_unitary(d, rng) for _ in range(m)])
-        Ys = np.stack([haar_unitary(d, rng) for _ in range(m)])
-        Bs = np.conj(np.swapaxes(Xs, -1, -2)) @ (s[:, np.newaxis] * Ys)
+    for i in range(0, n, SAMPLE_BLOCK):
+        m = min(SAMPLE_BLOCK, n - i)
+        Xs = haar_block(m)
+        Ys = haar_block(m)
+        Bs = conj_t(Xs) @ (s[:, np.newaxis] * Ys)
         sv = np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
-        from .norms import gauge
-
         vals[i : i + m] = np.asarray(gauge(norm, sv))
-        i += m
     return vals

@@ -7,7 +7,8 @@ basis matrices), water filling is solved by bisection (the library
 solves the piecewise-linear equation in closed form), the orbit
 certifiers' witness searches run one try and one curve sample at a time
 (the library screens all tries of a radius and samples a whole curve as
-one stack), the spectrum samplers run one sample at a time, and the frame
+one stack), the spectrum samplers run one sample at a time, the
+singular-value-orbit sampler draws one Haar unitary at a time, and the frame
 descents run one restart at a time on 2-d arrays (the library descends a
 stack of restarts in lockstep).
 """
@@ -18,8 +19,9 @@ import numpy as np
 
 from lidskii import eig_orbit, sv_orbit
 from lidskii.curves import DROP_TOL, DescentCurve, log_grid, trim_to_descent
-from lidskii.matrices import as_rng, frob, random_general, skew_exp
-from lidskii.norms import evaluate, norm_gradient
+from lidskii.majorization import sort_desc
+from lidskii.matrices import as_rng, frob, haar_unitary, random_general, require_square, skew_exp
+from lidskii.norms import evaluate, gauge, norm_gradient
 
 
 def commutation_matrix(d: int) -> np.ndarray:
@@ -257,6 +259,28 @@ def orbit_spectra_loop(S, dvals, gaussians):
                 Q[:, j] *= r / abs(r)
         out[i] = np.linalg.eigvalsh(S - Q @ D @ Q.conj().T)[::-1]
     return out
+
+
+def sv_orbit_sample_values_loop(norm, A, s, n, seed):
+    """Objective values over n samples X^H D_s Y, one ``haar_unitary`` call
+    per X and per Y (a block's X's before its Y's)."""
+    A = require_square(A)
+    s = sort_desc(s)
+    d = A.shape[0]
+    rng = as_rng(seed)
+
+    vals = np.empty(n)
+    block = 512
+    i = 0
+    while i < n:
+        m = min(block, n - i)
+        Xs = np.stack([haar_unitary(d, rng) for _ in range(m)])
+        Ys = np.stack([haar_unitary(d, rng) for _ in range(m)])
+        Bs = np.conj(np.swapaxes(Xs, -1, -2)) @ (s[:, np.newaxis] * Ys)
+        sv = np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
+        vals[i : i + m] = np.asarray(gauge(norm, sv))
+        i += m
+    return vals
 
 
 def psd_spectra_loop(S, t, gaussians):

@@ -163,3 +163,9 @@ def test_orbit_sample_values_matches_direct_evaluation():
     Gop = eig_orbit.global_minimizer(S, mu)
     assert np.min(vals) >= eig_orbit.orbit_distance(frobenius(), S, Gop) - 1e-8
     assert vals.shape == (64,)
+
+
+def test_orbit_sampler_rejects_length_mismatch():
+    # a length-1 spectrum would broadcast to the samples of S - 2 I
+    with pytest.raises(ValueError, match="length mismatch"):
+        eig_orbit.orbit_sample_values(frobenius(), np.eye(3), [2.0], 4, 0)

@@ -11,6 +11,7 @@ from lidskii.matrices import (
     eigh,
     eigvalsh_desc,
     frob,
+    haar_qr,
     haar_unitary,
     pair_submersion_test,
     random_general,
@@ -95,6 +96,32 @@ def test_haar_unitary_contracts():
     assert np.array_equal(U1, U2)
     U = haar_unitary(3, 0)
     assert frob(U.conj().T @ U - np.eye(3)) < 1e-12
+
+
+def _gaussian(d, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_haar_qr_slices_equal_haar_unitary_bitwise(d):
+    # haar_unitary(d, k) draws exactly _gaussian(d, k)
+    Z = np.stack([_gaussian(d, k) for k in range(12)]).reshape(3, 4, d, d)
+    Q = haar_qr(Z)
+    assert Q.shape == (3, 4, d, d)
+    for k in range(12):
+        assert np.array_equal(Q[k // 4, k % 4], haar_unitary(d, k))
+
+
+def test_haar_qr_phase_convention():
+    # Q^H Z is upper triangular with a positive real diagonal
+    Z = np.stack([_gaussian(4, k) for k in range(8)])
+    Q = haar_qr(Z)
+    R = np.conj(np.swapaxes(Q, -1, -2)) @ Z
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    assert np.all(diag.real > 0) and np.allclose(diag.imag, 0.0, atol=1e-12)
+    assert np.allclose(np.tril(R, -1), 0.0, atol=1e-12)
+    assert np.allclose(np.conj(np.swapaxes(Q, -1, -2)) @ Q, np.eye(4), atol=1e-12)
 
 
 def test_haar_phase_convention_is_deterministic_distribution():

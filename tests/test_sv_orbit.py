@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import sv_orbit_sample_values_loop
 from lidskii import sv_orbit
 from lidskii.majorization import sort_desc
 from lidskii.matrices import frob, haar_unitary, random_general, random_hermitian, svdvals
@@ -201,3 +202,65 @@ def test_dilation_consistency_with_pair_map():
         lhs = eigvalsh_desc(dilate(inner))
         rhs = eigvalsh_desc(big1.conj().T @ dilate(A) @ big1 - big2.conj().T @ dilate(B) @ big2)
         assert np.allclose(lhs, rhs, atol=1e-9 * (1 + frob(A) + frob(B)))
+
+
+# around the 512-sample block: none, one, a block less one, a block, and
+# a block plus one, then three blocks
+SAMPLER_COUNTS = (0, 1, 511, 512, 513, 1500)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_sv_sampler_matches_per_sample_loop_bitwise(d):
+    rng = np.random.default_rng(40 + d)
+    A = random_general(d, rng)
+    s = rng.uniform(0.0, 3.0, d)  # unsorted: both sort it
+    for norm in (frobenius(), schatten(3)):
+        for n in SAMPLER_COUNTS:
+            seed = int(rng.integers(0, 2**31))
+            vals = sv_orbit.sv_orbit_sample_values(norm, A, s, n, seed)
+            assert vals.shape == (n,)
+            assert np.array_equal(vals, sv_orbit_sample_values_loop(norm, A, s, n, seed))
+            # a shared Generator yields the same values and is left in the
+            # same state
+            g, g_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                sv_orbit.sv_orbit_sample_values(norm, A, s, n, g),
+                sv_orbit_sample_values_loop(norm, A, s, n, g_loop),
+            )
+            assert g.standard_normal() == g_loop.standard_normal()
+
+
+def test_sv_sampler_rejects_length_mismatch():
+    # a length-1 target would broadcast to the orbit of 2 I
+    with pytest.raises(ValueError, match="length mismatch"):
+        sv_orbit.sv_orbit_sample_values(frobenius(), np.eye(3), [2.0], 4, 0)
+
+
+def test_sv_sampler_rejects_negative_target():
+    with pytest.raises(ValueError, match="non-negative"):
+        sv_orbit.sv_orbit_sample_values(frobenius(), np.eye(3), [1.0, -2.0, 0.5], 4, 0)
+
+
+def _rank_deficient(d, rank, rng):
+    a = np.zeros(d)
+    a[:rank] = rng.uniform(0.5, 3.0, rank)
+    return (haar_unitary(d, rng).conj().T * a[np.newaxis, :]) @ haar_unitary(d, rng)
+
+
+@pytest.mark.parametrize("case", ["d1", "zero_singular_value", "rank_deficient_A"])
+def test_no_sample_beats_closed_form_optimum_degenerate(case):
+    rng = np.random.default_rng(7)
+    if case == "d1":
+        A = np.array([[rng.standard_normal() + 1j * rng.standard_normal()]])
+        s = [0.7]
+    elif case == "zero_singular_value":
+        A = random_general(4, rng)
+        s = [2.0, 1.0, 0.0, 0.0]
+    else:
+        A = _rank_deficient(4, 2, rng)
+        s = [2.5, 1.5, 0.5, 0.0]
+    for norm in (frobenius(), schatten(3)):
+        optimum = sv_orbit.orbit_distance(norm, A, sv_orbit.global_minimizer(A, s))
+        vals = sv_orbit.sv_orbit_sample_values(norm, A, s, 2000, 11)
+        assert np.all(np.isfinite(vals))
+        assert float(np.min(vals)) >= optimum - 1e-8
