@@ -259,8 +259,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "tol", 1.0) <= 0:
-        print(f"lidskii {args.command}: error: --tol must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < np.inf:
+        print(f"lidskii {args.command}: error: --tol must be positive and finite", file=sys.stderr)
         return 1
     if getattr(args, "restarts", 1) < 1:
         print(f"lidskii {args.command}: error: --restarts must be >= 1", file=sys.stderr)

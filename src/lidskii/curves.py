@@ -47,8 +47,10 @@ class DescentCurve:
         return self.as_point(P[0]), float(self.value_fn(P)[0])
 
 
-def log_grid(t_max: float, n: int = CURVE_SAMPLES, t_min_frac: float = 1e-6) -> np.ndarray:
-    return np.geomspace(t_max * t_min_frac, t_max, n)
+def log_grid(t_max: float) -> np.ndarray:
+    """``CURVE_SAMPLES`` geometrically spaced parameters from 1e-6 t_max to
+    t_max."""
+    return np.geomspace(t_max * 1e-6, t_max, CURVE_SAMPLES)
 
 
 def build_curve(kind, param, point_fn, value_fn, ts, as_point=_same) -> DescentCurve:
@@ -82,16 +84,15 @@ def rotation_search(seed, n_gen, d, radii, tries, screen, curve_at, threshold, d
     return None
 
 
-def trim_to_descent(curve: DescentCurve, drop_req: float, slack: float | None = None):
+def trim_to_descent(curve: DescentCurve, drop_req: float):
     """Restrict a curve to its monotone decreasing prefix.
 
     Returns the trimmed curve when the prefix verifies a drop larger than
     ``drop_req``, else None.  The emitted samples end at the prefix minimum,
-    so they decrease monotonically within ``slack``.
+    so they decrease monotonically within ``MONOTONE_SLACK * (1 + |f(0)|)``.
     """
     vals = curve.values
-    if slack is None:
-        slack = MONOTONE_SLACK * (1.0 + abs(float(vals[0])))
+    slack = MONOTONE_SLACK * (1.0 + abs(float(vals[0])))
     end = len(vals)
     for i in range(1, len(vals)):
         if vals[i] > vals[i - 1] + slack:

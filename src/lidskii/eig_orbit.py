@@ -29,6 +29,7 @@ from .matrices import (
     GAP_TOL,
     as_hermitian,
     as_rng,
+    check_tol,
     check_unitary,
     cluster_desc,
     commutator,
@@ -100,7 +101,7 @@ def global_minimizer(S, mu) -> np.ndarray:
     return (G + G.conj().T) / 2.0
 
 
-def joint_diagonalize(S, G0, gap_tol: float = GAP_TOL):
+def joint_diagonalize(S, G0):
     """Joint eigenbasis of a (numerically) commuting Hermitian pair.
 
     Diagonalizes S, then re-diagonalizes the compression of G0 inside every
@@ -114,7 +115,7 @@ def joint_diagonalize(S, G0, gap_tol: float = GAP_TOL):
     lam, V = eigh(S)
     d = lam.size
     nu = np.empty(d)
-    for idx in cluster_desc(lam, gap_tol):
+    for idx in cluster_desc(lam):
         cols = V[:, idx]
         block = cols.conj().T @ G0 @ cols
         block = (block + block.conj().T) / 2.0
@@ -231,17 +232,19 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
     """Certify or reject a candidate local minimizer on its unitary orbit.
 
     For strictly convex norms local minimizers coincide with global ones:
-    the certificate is ``certified_global`` iff the pair commutes (within
-    tol) and the spectra are monotonically aligned in a joint basis, up to
-    degeneracy clusters.  A misaligned commuting candidate is rejected with
-    a Givens descent witness; a non-commuting one with a searched witness,
-    or ``inconclusive`` when the search fails.
+    the certificate is ``certified_global`` iff the pair commutes, that is
+    ``|[S, G0]|_F <= tol * |S|_F |G0|_F`` (a test that does not change when
+    S or G0 is rescaled), and the spectra are monotonically aligned in a
+    joint basis, up to degeneracy clusters.  A misaligned commuting
+    candidate is rejected with a Givens descent witness; a non-commuting one
+    with a searched witness, or ``inconclusive`` when the search fails.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
+    tol = check_tol(tol)
     S, G0 = _pair(S, G0)
     phi0 = evaluate(norm, S - G0)
-    scale = 1.0 + frob(S) * frob(G0)
+    scale = frob(S) * frob(G0)
     resid = frob(commutator(S, G0))
     if resid > tol * scale:
         witness = _noncommuting_witness(norm, S, G0, phi0, seed)

@@ -24,6 +24,8 @@ from .matrices import (
     NULLSPACE_TOL,
     as_hermitian,
     as_rng,
+    check_tol,
+    cluster_desc,
     commutator,
     conj_t,
     eigh,
@@ -50,8 +52,7 @@ class FrameSequence:
         self.norms = np.asarray(self.norms, dtype=float).ravel()
         if self.norms.size != self.vectors.shape[1]:
             raise ValueError("one squared norm per vector is required")
-        if np.any(self.norms <= 0):
-            raise ValueError("prescribed squared norms must be positive")
+        _check_norms(self.norms)
 
     @property
     def dim(self) -> int:
@@ -67,11 +68,16 @@ class FrameSequence:
 
     def validate(self, tol: float = SPHERE_TOL) -> "FrameSequence":
         res = self.sphere_residuals()
-        if np.max(res) > tol:
+        if not np.max(res) <= tol:  # a NaN residual fails too
             raise ValueError(
                 f"frame vector off its sphere: worst relative residual {np.max(res):.3e}"
             )
         return self
+
+
+def _check_norms(a):
+    if not np.all((a > 0) & np.isfinite(a)):
+        raise ValueError("prescribed squared norms must be positive and finite")
 
 
 def frame(vectors, norms=None) -> FrameSequence:
@@ -130,8 +136,8 @@ def water_fill(lam, t: float):
         raise ValueError("empty spectrum")
     if np.any(lam < -1e-12 * (1.0 + np.max(np.abs(lam)))):
         raise ValueError("water filling requires a non-negative spectrum")
-    if not t > 0:
-        raise ValueError(f"total mass must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"total mass must be positive and finite, got {t}")
     lam = np.maximum(sort_desc(lam), 0.0)
     d = lam.size
     prefix = np.cumsum(lam)
@@ -196,13 +202,11 @@ class FodStructureReport:
     witness: str | None
 
 
-def _fitted_clusters(fitted, vectors, gap_tol=GAP_TOL):
+def _fitted_clusters(fitted, vectors):
     """Cluster fitted eigenvalues (ascending) and rank each cluster's span."""
     order = np.argsort(fitted)[::-1]
     groups_desc = []
-    from .matrices import cluster_desc
-
-    for idx in cluster_desc(fitted[order], gap_tol):
+    for idx in cluster_desc(fitted[order]):
         groups_desc.append(order[idx])
     clusters = []
     for members in reversed(groups_desc):
@@ -225,6 +229,7 @@ def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> 
     """
     if not norm.strictly_convex:
         raise ValueError("structure conditions apply to strictly convex norms")
+    tol = check_tol(tol)
     if G0.count == 0:
         raise ValueError("empty frame")
     G0.validate()
@@ -278,6 +283,7 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
+    tol = check_tol(tol)
     if G0.count < G0.dim:
         raise ValueError("the single-eigenvalue certificate requires k >= d")
     G0.validate()
@@ -327,8 +333,7 @@ def _descend(objective, S, a, seeds, opts):
     """One descent of ``objective`` per seed, in lockstep, in seed order."""
     S = as_hermitian(S)
     a = np.asarray(a, dtype=float).ravel()
-    if np.any(a <= 0):
-        raise ValueError("prescribed squared norms must be positive")
+    _check_norms(a)
     opts = opts or DescentOptions(max_iters=objective.max_iters)
     seeds = list(seeds)
     if opts.init is not None:
@@ -405,7 +410,7 @@ def best_of_restarts(norm: NormSpec, S, a, restarts: int, seed=0, opts=None):
     return G, tr, float(values[best]), best
 
 
-def escape_move(S, G0: FrameSequence, cluster_index: int, tol: float = 1e-8, norm: NormSpec | None = None):
+def escape_move(S, G0: FrameSequence, cluster_index: int):
     """Descent curve off a linearly dependent fitted-eigenvalue cluster.
 
     Applicable when the cluster's vectors are dependent and some eigenvalue
@@ -413,10 +418,10 @@ def escape_move(S, G0: FrameSequence, cluster_index: int, tol: float = 1e-8, nor
     the cluster is traded against an eigenvector of the larger eigenvalue,
     staying on the spheres while the spectrum strictly drops in majorization
     order.  Returns None when the preconditions fail or the sampled drop is
-    not verifiable; sampled values use the Frobenius norm by default (the
-    guarantee covers every strictly convex norm).
+    not verifiable; sampled values use the Frobenius norm (the guarantee
+    covers every strictly convex norm).
     """
-    norm = norm or frobenius()
+    norm = frobenius()
     G0.validate()
     S = as_hermitian(S)
     S0 = frame_operator(G0)

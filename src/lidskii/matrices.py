@@ -26,6 +26,16 @@ class EigensolverError(RuntimeError):
     """Raised when a dense factorization fails to converge."""
 
 
+def check_tol(tol) -> float:
+    """A tolerance as a float; raises ValueError unless it is positive and
+    finite (every comparison against NaN is false, so a NaN tolerance would
+    pass every test)."""
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 def as_rng(seed) -> np.random.Generator:
     """Coerce an int seed (or an existing Generator) to a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -285,13 +295,14 @@ def _realvec(*mats) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _kernel_dim(system: np.ndarray, tol: float):
-    """Numerical kernel of a real matrix: SVD rank cut at tol * s_max."""
-    sv = np.linalg.svd(system, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return system.shape[1], None
-    cut = tol * sv[0]
-    return int(np.sum(sv < cut)), cut
+def _kernel(system: np.ndarray, tol: float):
+    """Numerical kernel of a real matrix with more rows than columns: its
+    dimension (singular values below tol * s_max) and the last right
+    singular vector, which lies in the kernel when it is not trivial."""
+    _, sv, vt = np.linalg.svd(system)
+    if sv[0] == 0.0:
+        return system.shape[1], vt[-1]
+    return int(np.sum(sv < tol * sv[0])), vt[-1]
 
 
 def commutant_is_trivial(S, G0, tol: float = NULLSPACE_TOL):
@@ -311,8 +322,7 @@ def commutant_is_trivial(S, G0, tol: float = NULLSPACE_TOL):
     d = S.shape[0]
     basis = _herm_traceless_basis(d)
     cols = [_realvec(Y @ S - S @ Y, Y @ G0 - G0 @ Y) for Y in basis]
-    system = np.stack(cols, axis=1)
-    kdim, _ = _kernel_dim(system, tol)
+    kdim, _ = _kernel(np.stack(cols, axis=1), tol)
     return kdim == 0, kdim
 
 
@@ -342,15 +352,9 @@ def pair_submersion_test(A, B, tol: float = NULLSPACE_TOL):
                 Bh @ Z - Zh @ B,
             )
         )
-    system = np.stack(cols, axis=1)
-    sv_u, sv, sv_vt = np.linalg.svd(system)
-    if sv.size == 0 or sv[0] == 0.0:
-        kdim = system.shape[1]
-    else:
-        kdim = int(np.sum(sv < tol * sv[0]))
+    kdim, coeffs = _kernel(np.stack(cols, axis=1), tol)
     if kdim == 0:
         return True, 0, None
-    coeffs = sv_vt[-1]
     Z = np.zeros((d, d), dtype=np.complex128)
     for c, E in zip(coeffs, basis):
         Z += c * E

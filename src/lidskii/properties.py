@@ -1,13 +1,16 @@
 """Seeded fuzz suites for the package invariants.
 
-Each property draws deterministic instances from a child seed, counts
-failures and tracks the worst margin seen (positive margins mean slack was
-left; negative means violation).  ``run_all`` executes every suite at the
-requested scale; results are plain data so summaries serialize bit-stably
-for a fixed seed.
+Each suite draws deterministic instances from a child seed and returns one
+margin per check (positive margins mean slack was left; negative means
+violation), or a ``(margins, findings)`` pair when it also records findings.
+``SUITES`` names every suite once, in run order, with its small-scale
+counts; ``run_all`` runs them at the requested scale and counts failures
+and the worst margin of each.  Results are plain data, so summaries
+serialize bit-stably for a fixed seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +26,10 @@ from .matrices import (
     pair_submersion_test,
     random_general,
     random_hermitian,
+    skew_exp,
     svd,
     svdvals,
+    unit_skew,
 )
 from .norms import evaluate, frobenius, gauge_from_eigs, kyfan, schatten, spectral
 
@@ -38,18 +43,18 @@ class PropertyResult:
     count: int
     failures: int
     worst_margin: float
-    findings: list = field(default_factory=list)
+    findings: list
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
-def _result(name, margins, findings=None):
+def _result(name, margins, findings):
     margins = np.asarray(margins, dtype=float)
     failures = int(np.sum(margins < 0))
     worst = float(np.min(margins)) if margins.size else 0.0
-    return PropertyResult(name, int(margins.size), failures, worst, findings or [])
+    return PropertyResult(name, int(margins.size), failures, worst, findings)
 
 
 def _rand_dim(rng, lo=2, hi=6):
@@ -67,7 +72,7 @@ def prop_majorization_reflexivity(n, seed):
         x = rng.standard_normal(_rand_dim(rng, 2, 8)) * 3.0
         v = mj.majorizes(x, x)
         margins.append(1.0 if (v.holds and not v.strict) else -1.0)
-    return _result("majorization.reflexivity", margins)
+    return margins
 
 
 def prop_majorization_entrywise(n, seed):
@@ -79,7 +84,7 @@ def prop_majorization_entrywise(n, seed):
         y = x + np.abs(rng.standard_normal(d))
         v = mj.submajorizes(y, x)
         margins.append(v.margin if v.holds else -1.0)
-    return _result("majorization.entrywise_implies_submajorization", margins)
+    return margins
 
 
 def _majorized_sample(rng, y):
@@ -105,13 +110,12 @@ def prop_majorization_abs(n, seed):
         # the verdict already carries the scaled tolerance; raw margins can
         # sit a few ulp below zero on exact-tie prefixes
         margins.append(max(v.margin, 1e-16) if v.holds else -1.0)
-    return _result("majorization.abs_implication", margins)
+    return margins
 
 
 def prop_majorization_rigidity(n, seed):
     rng = as_rng(seed)
     margins = []
-    checked = 0
     for _ in range(n):
         d = _rand_dim(rng, 2, 8)
         y = rng.standard_normal(d) * 2.0
@@ -122,12 +126,9 @@ def prop_majorization_rigidity(n, seed):
         same_abs = np.allclose(mj.sort_desc(np.abs(x)), mj.sort_desc(np.abs(y)))
         if not (mj.majorizes(y, x).holds and same_abs):
             continue  # premise does not apply
-        checked += 1
         gap = float(np.max(np.abs(mj.sort_desc(x) - mj.sort_desc(y))))
         margins.append(1e-12 - gap)
-    res = _result("majorization.rigidity", margins)
-    res.count = checked
-    return res
+    return margins
 
 
 def lidskii_eig_margins(n, dims, seed, tol=1e-8):
@@ -170,13 +171,6 @@ def lidskii_eig_margins(n, dims, seed, tol=1e-8):
     return margins
 
 
-def prop_lidskii_eig_closure(n, seed):
-    return _result(
-        "majorization.lidskii_eig_closure",
-        lidskii_eig_margins(n, range(2, 9), seed),
-    )
-
-
 def prop_lidskii_sv_closure(n, seed):
     rng = as_rng(seed)
     margins = []
@@ -188,7 +182,7 @@ def prop_lidskii_sv_closure(n, seed):
         x = np.abs(svdvals(A) - svdvals(B))
         v = mj.submajorizes(svdvals(A - B), x, tol)
         margins.append(v.margin + tol if v.holds else v.margin)
-    return _result("majorization.lidskii_sv_closure", margins)
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ def prop_norm_unitary_invariance(n, seed):
         base = evaluate(norm, A)
         err = abs(evaluate(norm, U @ A @ V) - base)
         margins.append(1e-9 * (1.0 + base) - err)
-    return _result("norms.unitary_invariance", margins)
+    return margins
 
 
 def _shrunk_pair(rng, d, min_gap=0.0):
@@ -232,7 +226,7 @@ def prop_norm_submaj_monotonicity(n, seed):
         A, B = pair
         norm = ALL_NORMS[i % len(ALL_NORMS)]
         margins.append(evaluate(norm, B) - evaluate(norm, A) + 1e-9)
-    return _result("norms.submajorization_monotonicity", margins)
+    return margins
 
 
 def prop_norm_strict_monotonicity(n, seed):
@@ -246,7 +240,7 @@ def prop_norm_strict_monotonicity(n, seed):
         A, B = pair
         norm = CONVEX_NORMS[i % len(CONVEX_NORMS)]
         margins.append(evaluate(norm, B) - evaluate(norm, A))
-    return _result("norms.strict_monotonicity", margins)
+    return margins
 
 
 def prop_norm_triangle_homogeneity(n, seed):
@@ -262,7 +256,7 @@ def prop_norm_triangle_homogeneity(n, seed):
         tri = na + nb - evaluate(norm, A + B)
         hom = abs(evaluate(norm, c * A) - abs(c) * na)
         margins.append(min(tri + 1e-9 * (1 + na + nb), 1e-9 * (1 + na) - hom))
-    return _result("norms.triangle_homogeneity", margins)
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +272,7 @@ def prop_eigh_reconstruction(n, seed):
         lam, V = eigh(M)
         defect = frob(M - (V * lam[np.newaxis, :]) @ V.conj().T)
         margins.append(1e-9 * (1.0 + frob(M)) - defect)
-    return _result("matrices.eigh_reconstruction", margins)
+    return margins
 
 
 def prop_svd_reconstruction(n, seed):
@@ -290,7 +284,7 @@ def prop_svd_reconstruction(n, seed):
         V, s, U = svd(A)
         defect = frob(A - (V.conj().T * s[np.newaxis, :]) @ U)
         margins.append(1e-9 * (1.0 + frob(A)) - defect)
-    return _result("matrices.svd_reconstruction", margins)
+    return margins
 
 
 def dilate_spectrum_margins(n, seed, dmax=6, tol=1e-9):
@@ -305,10 +299,6 @@ def dilate_spectrum_margins(n, seed, dmax=6, tol=1e-9):
         err = float(np.max(np.abs(lam - expected)))
         margins.append(tol * (1.0 + s[0]) - err)
     return np.asarray(margins)
-
-
-def prop_dilate_spectrum(n, seed):
-    return _result("matrices.dilate_spectrum", dilate_spectrum_margins(n, seed))
 
 
 def _degenerate_commutant_pair(d, rng):
@@ -342,7 +332,7 @@ def prop_commutant_invariance(n, seed):
             U.conj().T @ S @ U, U.conj().T @ G @ U
         )
         margins.append(1.0 if (ok1 == ok2 and k1 == k2) else -1.0)
-    return _result("matrices.commutant_basis_invariance", margins)
+    return margins
 
 
 def hermitian_product_pair(d, rng, zero_block=False):
@@ -392,33 +382,26 @@ def prop_pi_hermitian_rule(n, seed):
             frob(B.conj().T @ Z - Z.conj().T @ B),
         )
         margins.append(1e-6 * (1 + frob(A) + frob(B)) - worst)
-    return _result("matrices.pi_hermitian_pair_rule", margins)
+    return margins
 
 
 # ---------------------------------------------------------------------------
 # Hermitian orbit
 
 
-def eig_global_optimality_margins(n_cfg, n_samples, seed, dmax=6, norms=CONVEX_NORMS):
+def eig_global_optimality_margins(n_cfg, n_samples, seed):
     rng = as_rng(seed)
     margins = []
     for i in range(n_cfg):
-        d = _rand_dim(rng, 2, dmax)
+        d = _rand_dim(rng, 2, 6)
         S = random_hermitian(d, rng)
         mu = mj.sort_desc(rng.standard_normal(d) * 2.0)
         Gop = eig_orbit.global_minimizer(S, mu)
-        norm = norms[i % len(norms)]
+        norm = CONVEX_NORMS[i % len(CONVEX_NORMS)]
         best = evaluate(norm, S - Gop)
         vals = eig_orbit.orbit_sample_values(norm, S, mu, n_samples, rng)
         margins.append(float(np.min(vals)) - best + 1e-8)
     return np.asarray(margins)
-
-
-def prop_eig_global_optimality(n_cfg, n_samples, seed):
-    return _result(
-        "eig_orbit.global_optimality",
-        eig_global_optimality_margins(n_cfg, n_samples, seed),
-    )
 
 
 def prop_eig_equality_rigidity(n, seed):
@@ -426,41 +409,34 @@ def prop_eig_equality_rigidity(n, seed):
     margins = []
     for i in range(n):
         d = _rand_dim(rng, 2, 6)
-        if i % 2 == 0:
+        aligned = i % 2 == 0
+        if aligned:
             # constructed commuting aligned pair: equality must hold
             V = haar_unitary(d, rng)
             lam = mj.sort_desc(rng.standard_normal(d) * 2)
             nu = mj.sort_desc(rng.standard_normal(d) * 2)
             S = (V * lam[np.newaxis, :]) @ V.conj().T
             G = (V * nu[np.newaxis, :]) @ V.conj().T
-            gap = float(
-                np.max(
-                    np.abs(
-                        eigvalsh_desc(S - G)
-                        - mj.sort_desc(eigvalsh_desc(S) - eigvalsh_desc(G))
-                    )
-                )
-            )
-            scale = 1.0 + frob(S) + frob(G)
-            margins.append(1e-9 * scale - gap)
         else:
             S = random_hermitian(d, rng)
             G = random_hermitian(d, rng)
-            gap = float(
-                np.max(
-                    np.abs(
-                        eigvalsh_desc(S - G)
-                        - mj.sort_desc(eigvalsh_desc(S) - eigvalsh_desc(G))
-                    )
+        gap = float(
+            np.max(
+                np.abs(
+                    eigvalsh_desc(S - G)
+                    - mj.sort_desc(eigvalsh_desc(S) - eigvalsh_desc(G))
                 )
             )
-            scale = 1.0 + frob(S) + frob(G)
-            if gap <= 1e-8 * scale:
-                comm = frob(S @ G - G @ S)
-                margins.append(1e-6 * scale - comm)
-            else:
-                margins.append(1.0)  # premise empty
-    return _result("eig_orbit.equality_rigidity", margins)
+        )
+        scale = 1.0 + frob(S) + frob(G)
+        if aligned:
+            margins.append(1e-9 * scale - gap)
+        elif gap <= 1e-8 * scale:
+            comm = frob(S @ G - G @ S)
+            margins.append(1e-6 * scale - comm)
+        else:
+            margins.append(1.0)  # premise empty
+    return margins
 
 
 def commuting_candidate(d, rng, aligned):
@@ -481,14 +457,14 @@ def commuting_candidate(d, rng, aligned):
     return (S + S.conj().T) / 2, (G0 + G0.conj().T) / 2, lam, mj.sort_desc(nu)
 
 
-def descent_witness_margins(n, seed, dmax=5, norm=None):
+def descent_witness_margins(n, seed):
     """Certify constructed misaligned candidates; margin couples the verified
     drop, sampled monotonicity, and the orbit residual of the curve."""
-    norm = norm or frobenius()
+    norm = frobenius()
     rng = as_rng(seed)
     margins = []
     for _ in range(n):
-        d = _rand_dim(rng, 2, dmax)
+        d = _rand_dim(rng, 2, 5)
         S, G0, lam, mu = commuting_candidate(d, rng, aligned=False)
         cert = eig_orbit.certify_local(norm, S, G0, seed=rng)
         if cert.verdict != "not_local_min" or cert.descent_witness is None:
@@ -508,10 +484,6 @@ def descent_witness_margins(n, seed, dmax=5, norm=None):
     return np.asarray(margins)
 
 
-def prop_eig_descent_validity(n, seed):
-    return _result("eig_orbit.descent_validity", descent_witness_margins(n, seed))
-
-
 def prop_eig_tau_conservation(n, seed):
     rng = as_rng(seed)
     margins = []
@@ -525,7 +497,7 @@ def prop_eig_tau_conservation(n, seed):
         tau = np.trace(S) - np.trace(G0)
         gap = abs(np.trace(gamma) - tau)
         margins.append(1e-10 * (1.0 + abs(tau)) - gap)
-    return _result("eig_orbit.tau_conservation", margins)
+    return margins
 
 
 def prop_eig_soundness_small_d(n, seed):
@@ -545,11 +517,7 @@ def prop_eig_soundness_small_d(n, seed):
             phi0 = cert.phi
             found = -1.0
             for _t in range(400):
-                K = random_general(d, rng)
-                K = (K - K.conj().T) / 2
-                K /= frob(K)
-                from .matrices import skew_exp
-
+                K = unit_skew(random_general(d, rng))
                 W = skew_exp(K, float(rng.uniform(0, 1e-3)))
                 val = evaluate(norm, S - W.conj().T @ G0 @ W)
                 if val < phi0:
@@ -564,7 +532,7 @@ def prop_eig_soundness_small_d(n, seed):
                 continue
             vals = eig_orbit.orbit_sample_values(norm, S, mu, 10000, rng)
             margins.append(float(np.min(vals)) - cert.phi + 1e-8)
-    return _result("eig_orbit.certification_soundness", margins)
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +559,14 @@ def prop_sv_dilation_consistency(n, seed):
         rhs = eigvalsh_desc(rhs_mat)
         scale = 1.0 + frob(A) + frob(B)
         margins.append(1e-9 * scale - float(np.max(np.abs(lhs - rhs))))
-    return _result("sv_orbit.dilation_consistency", margins)
+    return margins
 
 
-def joint_svd_margins(n, seed, dmax=6, tol=1e-8):
+def joint_svd_margins(n, seed):
     rng = as_rng(seed)
     margins = []
     for i in range(n):
-        d = _rand_dim(rng, 2, dmax)
+        d = _rand_dim(rng, 2, 6)
         A, B = hermitian_product_pair(d, rng, zero_block=(i % 2 == 0))
         scale = 1.0 + frob(A) * frob(B)
         try:
@@ -606,18 +574,16 @@ def joint_svd_margins(n, seed, dmax=6, tol=1e-8):
         except ValueError:
             margins.append(-1.0)
             continue
-        margins.append(tol * scale - max(joint.residual_a, joint.residual_b))
+        margins.append(1e-8 * scale - max(joint.residual_a, joint.residual_b))
     return np.asarray(margins)
 
 
-def prop_sv_joint_svd_soundness(n, seed):
-    return _result("sv_orbit.joint_svd_soundness", joint_svd_margins(n, seed))
-
-
-def sv_equality_margins(n_pos, n_neg, seed, tol=1e-7):
+def sv_equality_margins(n, seed):
+    """n constructed equality pairs, then n random pairs whose products are
+    far from Hermitian."""
     rng = as_rng(seed)
     margins = []
-    for _ in range(n_pos):
+    for _ in range(n):
         d = _rand_dim(rng, 2, 5)
         U = haar_unitary(d, rng)
         V = haar_unitary(d, rng)
@@ -625,20 +591,16 @@ def sv_equality_margins(n_pos, n_neg, seed, tol=1e-7):
         b = mj.sort_desc(rng.uniform(0, 3, d))
         A = U.conj().T @ np.diag(a).astype(complex) @ V
         B = U.conj().T @ np.diag(b).astype(complex) @ V
-        margins.append(1.0 if sv_orbit.equality_case(A, B, tol) else -1.0)
-    for _ in range(n_neg):
+        margins.append(1.0 if sv_orbit.equality_case(A, B) else -1.0)
+    for _ in range(n):
         d = _rand_dim(rng, 2, 5)
         A = random_general(d, rng)
         B = random_general(d, rng)
         rA, _rB = sv_orbit.hermitian_residuals(A, B)
         if rA <= 0.1 * (1.0 + frob(A) * frob(B)):
             continue
-        margins.append(-1.0 if sv_orbit.equality_case(A, B, tol) else 1.0)
+        margins.append(-1.0 if sv_orbit.equality_case(A, B) else 1.0)
     return np.asarray(margins)
-
-
-def prop_sv_equality_corollary(n, seed):
-    return _result("sv_orbit.equality_corollary", sv_equality_margins(n, n, seed))
 
 
 def prop_sv_certified_beats_samples(n_cand, n_samples, seed):
@@ -656,7 +618,7 @@ def prop_sv_certified_beats_samples(n_cand, n_samples, seed):
             continue
         vals = sv_orbit.sv_orbit_sample_values(norm, A, s, n_samples, rng)
         margins.append(float(np.min(vals)) - cert.psi + 1e-8)
-    return _result("sv_orbit.certified_beats_samples", margins)
+    return margins
 
 
 def prop_sv_scalar_case(n, seed):
@@ -678,7 +640,7 @@ def prop_sv_scalar_case(n, seed):
             b = s * a / abs(a) * phase
             cert = sv_orbit.certify_local(norm, [[a]], [[b]], seed=rng)
             margins.append(1.0 if cert.verdict == "not_local_min" else -1.0)
-    return _result("sv_orbit.scalar_case", margins)
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -695,20 +657,26 @@ def prop_frame_trace_conservation(n, seed):
         G = frames.random_frame(d, a, rng)
         gap = abs(np.trace(frames.frame_operator(G)).real - np.sum(a))
         margins.append(1e-10 * (1.0 + np.sum(a)) - gap)
-    return _result("frames.trace_conservation", margins)
+    return margins
 
 
-def frame_lower_bound_margins(n_cfg, n_samples, seed, dmax=5, kmax=8):
+def _psd_target(rng, d, top):
+    """PSD target with a spectrum drawn uniformly from [0, top] (drawn
+    first) in a Haar eigenbasis; returns (spectrum, S)."""
+    lam = mj.sort_desc(rng.uniform(0, top, d))
+    V = haar_unitary(d, rng)
+    S = (V * lam[np.newaxis, :]) @ V.conj().T
+    return lam, (S + S.conj().T) / 2
+
+
+def frame_lower_bound_margins(n_cfg, n_samples, seed):
     rng = as_rng(seed)
     margins = []
     for i in range(n_cfg):
-        d = _rand_dim(rng, 2, dmax)
-        k = int(rng.integers(d, kmax + 1))
+        d = _rand_dim(rng, 2, 5)
+        k = int(rng.integers(d, 9))
         a = rng.uniform(0.3, 2.0, k)
-        lam = mj.sort_desc(rng.uniform(0, 4, d))
-        V = haar_unitary(d, rng)
-        S = (V * lam[np.newaxis, :]) @ V.conj().T
-        S = (S + S.conj().T) / 2
+        _, S = _psd_target(rng, d, 4)
         norm = ALL_NORMS[i % len(ALL_NORMS)]
         bound, _ = frames.psd_lower_bound(norm, S, float(np.sum(a)))
         worst = np.inf
@@ -719,11 +687,7 @@ def frame_lower_bound_margins(n_cfg, n_samples, seed, dmax=5, kmax=8):
     return np.asarray(margins)
 
 
-def prop_frame_lower_bound(n_cfg, n_samples, seed):
-    return _result("frames.naive_bound", frame_lower_bound_margins(n_cfg, n_samples, seed))
-
-
-def water_fill_margins(n, seed, tol=1e-10):
+def water_fill_margins(n, seed):
     rng = as_rng(seed)
     margins = []
     for _ in range(n):
@@ -736,7 +700,7 @@ def water_fill_margins(n, seed, tol=1e-10):
         complementary = np.minimum(c, lam)
         noninc = np.all(np.diff(complementary) <= 1e-12)
         margins.append(
-            tol * (1.0 + t) - resid if (ok_level and noninc) else -1.0
+            1e-10 * (1.0 + t) - resid if (ok_level and noninc) else -1.0
         )
         # monotonicity of the level in t
         c2, _ = frames.water_fill(lam, t * 1.5)
@@ -745,19 +709,13 @@ def water_fill_margins(n, seed, tol=1e-10):
     return np.asarray(margins)
 
 
-def prop_water_fill(n, seed):
-    return _result("frames.water_fill", water_fill_margins(n, seed))
-
-
-def psd_global_margins(n_cfg, n_samples, seed, dmax=5, norms=(frobenius(), schatten(3))):
+def psd_global_margins(n_cfg, n_samples, seed):
     rng = as_rng(seed)
+    norms = (frobenius(), schatten(3))
     margins = []
     for i in range(n_cfg):
-        d = _rand_dim(rng, 2, dmax)
-        lam = mj.sort_desc(rng.uniform(0, 4, d))
-        V = haar_unitary(d, rng)
-        S = (V * lam[np.newaxis, :]) @ V.conj().T
-        S = (S + S.conj().T) / 2
+        d = _rand_dim(rng, 2, 5)
+        lam, S = _psd_target(rng, d, 4)
         t = float(rng.uniform(0.2, 1.2) * np.sum(lam) + 0.1)
         norm = norms[i % len(norms)]
         bound, _ = frames.psd_lower_bound(norm, S, t)
@@ -771,41 +729,28 @@ def psd_global_margins(n_cfg, n_samples, seed, dmax=5, norms=(frobenius(), schat
     return np.asarray(margins)
 
 
-def prop_psd_global(n_cfg, n_samples, seed):
-    return _result("frames.psd_approximant_global", psd_global_margins(n_cfg, n_samples, seed))
-
-
-def descent_structure_margins(n_inst, seed, dmax=4, restarts=1, grad_cut=1e-9, tol=1e-6):
+def descent_structure_margins(n_inst, seed):
     rng = as_rng(seed)
     margins = []
     converged = 0
     for _ in range(n_inst):
-        d = _rand_dim(rng, 2, dmax)
+        d = _rand_dim(rng, 2, 4)
         k = int(rng.integers(d, d + 3))
         a = rng.uniform(0.3, 1.5, k)
-        lam = mj.sort_desc(rng.uniform(0, 3, d))
-        V = haar_unitary(d, rng)
-        S = (V * lam[np.newaxis, :]) @ V.conj().T
-        S = (S + S.conj().T) / 2
-        seeds = [int(rng.integers(0, 2**31)) for _r in range(restarts)]
-        for G, tr in frames.descend_restarts(frobenius(), S, a, seeds):
-            if tr.grad_norm >= grad_cut:
-                continue
-            converged += 1
-            report = frames.structure_check(frobenius(), S, G, tol=tol)
-            margins.append(1.0 if report.verdict == "consistent_with_local_min" else -1.0)
-    result = _result("frames.descent_structure", margins)
-    result.findings.append(f"converged {converged} of {n_inst * restarts} runs")
-    return result
-
-
-def prop_descent_structure(n_inst, seed):
-    return descent_structure_margins(n_inst, seed)
+        _, S = _psd_target(rng, d, 3)
+        G, tr = frames.gradient_descent(S, a, seed=int(rng.integers(0, 2**31)))
+        if tr.grad_norm >= 1e-9:
+            continue
+        converged += 1
+        report = frames.structure_check(frobenius(), S, G, tol=1e-6)
+        margins.append(1.0 if report.verdict == "consistent_with_local_min" else -1.0)
+    return margins, [f"converged {converged} of {n_inst} runs"]
 
 
 def prop_descent_structure_nonfrobenius(n_inst, seed):
     """Conjecture exploration: structural outcomes for a non-Frobenius
-    strictly convex norm are recorded as findings, never as failures."""
+    strictly convex norm are recorded as findings, never as failures; each
+    converged point counts as one check with margin 0."""
     rng = as_rng(seed)
     norm = schatten(3)
     findings = []
@@ -826,10 +771,7 @@ def prop_descent_structure_nonfrobenius(n_inst, seed):
                 f"schatten:3 converged point violates structure: {report.witness}"
             )
     findings.append(f"examined {checked} converged schatten:3 points")
-    result = PropertyResult(
-        "frames.conjecture_nonfrobenius", checked, 0, 0.0, findings
-    )
-    return result
+    return [0.0] * checked, findings
 
 
 def escape_validity_margins(n, seed):
@@ -877,82 +819,48 @@ def dependent_cluster_instance(d, rng):
     return S, G0, 0
 
 
-def prop_escape_validity(n, seed):
-    return _result("frames.escape_validity", escape_validity_margins(n, seed))
-
-
 # ---------------------------------------------------------------------------
 # suite driver
 
-SMALL_COUNTS = {
-    "majorization.reflexivity": {"n": 200},
-    "majorization.entrywise_implies_submajorization": {"n": 1000},
-    "majorization.abs_implication": {"n": 500},
-    "majorization.rigidity": {"n": 500},
-    "majorization.lidskii_eig_closure": {"n": 2000},
-    "majorization.lidskii_sv_closure": {"n": 800},
-    "norms.unitary_invariance": {"n": 200},
-    "norms.submajorization_monotonicity": {"n": 300},
-    "norms.strict_monotonicity": {"n": 200},
-    "norms.triangle_homogeneity": {"n": 200},
-    "matrices.eigh_reconstruction": {"n": 1000},
-    "matrices.svd_reconstruction": {"n": 1000},
-    "matrices.dilate_spectrum": {"n": 1000},
-    "matrices.commutant_basis_invariance": {"n": 40},
-    "matrices.pi_hermitian_pair_rule": {"n": 40},
-    "eig_orbit.global_optimality": {"n_cfg": 12, "n_samples": 300},
-    "eig_orbit.equality_rigidity": {"n": 300},
-    "eig_orbit.descent_validity": {"n": 25},
-    "eig_orbit.tau_conservation": {"n": 200},
-    "eig_orbit.certification_soundness": {"n": 8},
-    "sv_orbit.dilation_consistency": {"n": 80},
-    "sv_orbit.joint_svd_soundness": {"n": 120},
-    "sv_orbit.equality_corollary": {"n": 120},
-    "sv_orbit.certified_beats_samples": {"n_cand": 6, "n_samples": 1500},
-    "sv_orbit.scalar_case": {"n": 40},
-    "frames.trace_conservation": {"n": 200},
-    "frames.naive_bound": {"n_cfg": 12, "n_samples": 150},
-    "frames.water_fill": {"n": 250},
-    "frames.psd_approximant_global": {"n_cfg": 8, "n_samples": 1500},
-    "frames.descent_structure": {"n_inst": 10},
-    "frames.conjecture_nonfrobenius": {"n_inst": 4},
-    "frames.escape_validity": {"n": 15},
-}
-
-_RUNNERS = {
-    "majorization.reflexivity": prop_majorization_reflexivity,
-    "majorization.entrywise_implies_submajorization": prop_majorization_entrywise,
-    "majorization.abs_implication": prop_majorization_abs,
-    "majorization.rigidity": prop_majorization_rigidity,
-    "majorization.lidskii_eig_closure": prop_lidskii_eig_closure,
-    "majorization.lidskii_sv_closure": prop_lidskii_sv_closure,
-    "norms.unitary_invariance": prop_norm_unitary_invariance,
-    "norms.submajorization_monotonicity": prop_norm_submaj_monotonicity,
-    "norms.strict_monotonicity": prop_norm_strict_monotonicity,
-    "norms.triangle_homogeneity": prop_norm_triangle_homogeneity,
-    "matrices.eigh_reconstruction": prop_eigh_reconstruction,
-    "matrices.svd_reconstruction": prop_svd_reconstruction,
-    "matrices.dilate_spectrum": prop_dilate_spectrum,
-    "matrices.commutant_basis_invariance": prop_commutant_invariance,
-    "matrices.pi_hermitian_pair_rule": prop_pi_hermitian_rule,
-    "eig_orbit.global_optimality": prop_eig_global_optimality,
-    "eig_orbit.equality_rigidity": prop_eig_equality_rigidity,
-    "eig_orbit.descent_validity": prop_eig_descent_validity,
-    "eig_orbit.tau_conservation": prop_eig_tau_conservation,
-    "eig_orbit.certification_soundness": prop_eig_soundness_small_d,
-    "sv_orbit.dilation_consistency": prop_sv_dilation_consistency,
-    "sv_orbit.joint_svd_soundness": prop_sv_joint_svd_soundness,
-    "sv_orbit.equality_corollary": prop_sv_equality_corollary,
-    "sv_orbit.certified_beats_samples": prop_sv_certified_beats_samples,
-    "sv_orbit.scalar_case": prop_sv_scalar_case,
-    "frames.trace_conservation": prop_frame_trace_conservation,
-    "frames.naive_bound": prop_frame_lower_bound,
-    "frames.water_fill": prop_water_fill,
-    "frames.psd_approximant_global": prop_psd_global,
-    "frames.descent_structure": prop_descent_structure,
-    "frames.conjecture_nonfrobenius": prop_descent_structure_nonfrobenius,
-    "frames.escape_validity": prop_escape_validity,
-}
+# (name, suite, small-scale counts), in run order; the suite at index i
+# draws from the child seed [seed, i]
+SUITES = (
+    ("majorization.reflexivity", prop_majorization_reflexivity, {"n": 200}),
+    ("majorization.entrywise_implies_submajorization", prop_majorization_entrywise, {"n": 1000}),
+    ("majorization.abs_implication", prop_majorization_abs, {"n": 500}),
+    ("majorization.rigidity", prop_majorization_rigidity, {"n": 500}),
+    ("majorization.lidskii_eig_closure", partial(lidskii_eig_margins, dims=range(2, 9)),
+     {"n": 2000}),
+    ("majorization.lidskii_sv_closure", prop_lidskii_sv_closure, {"n": 800}),
+    ("norms.unitary_invariance", prop_norm_unitary_invariance, {"n": 200}),
+    ("norms.submajorization_monotonicity", prop_norm_submaj_monotonicity, {"n": 300}),
+    ("norms.strict_monotonicity", prop_norm_strict_monotonicity, {"n": 200}),
+    ("norms.triangle_homogeneity", prop_norm_triangle_homogeneity, {"n": 200}),
+    ("matrices.eigh_reconstruction", prop_eigh_reconstruction, {"n": 1000}),
+    ("matrices.svd_reconstruction", prop_svd_reconstruction, {"n": 1000}),
+    ("matrices.dilate_spectrum", dilate_spectrum_margins, {"n": 1000}),
+    ("matrices.commutant_basis_invariance", prop_commutant_invariance, {"n": 40}),
+    ("matrices.pi_hermitian_pair_rule", prop_pi_hermitian_rule, {"n": 40}),
+    ("eig_orbit.global_optimality", eig_global_optimality_margins,
+     {"n_cfg": 12, "n_samples": 300}),
+    ("eig_orbit.equality_rigidity", prop_eig_equality_rigidity, {"n": 300}),
+    ("eig_orbit.descent_validity", descent_witness_margins, {"n": 25}),
+    ("eig_orbit.tau_conservation", prop_eig_tau_conservation, {"n": 200}),
+    ("eig_orbit.certification_soundness", prop_eig_soundness_small_d, {"n": 8}),
+    ("sv_orbit.dilation_consistency", prop_sv_dilation_consistency, {"n": 80}),
+    ("sv_orbit.joint_svd_soundness", joint_svd_margins, {"n": 120}),
+    ("sv_orbit.equality_corollary", sv_equality_margins, {"n": 120}),
+    ("sv_orbit.certified_beats_samples", prop_sv_certified_beats_samples,
+     {"n_cand": 6, "n_samples": 1500}),
+    ("sv_orbit.scalar_case", prop_sv_scalar_case, {"n": 40}),
+    ("frames.trace_conservation", prop_frame_trace_conservation, {"n": 200}),
+    ("frames.naive_bound", frame_lower_bound_margins, {"n_cfg": 12, "n_samples": 150}),
+    ("frames.water_fill", water_fill_margins, {"n": 250}),
+    ("frames.psd_approximant_global", psd_global_margins, {"n_cfg": 8, "n_samples": 1500}),
+    ("frames.descent_structure", descent_structure_margins, {"n_inst": 10}),
+    ("frames.conjecture_nonfrobenius", prop_descent_structure_nonfrobenius, {"n_inst": 4}),
+    ("frames.escape_validity", escape_validity_margins, {"n": 15}),
+)
 
 
 def run_all(seed: int, scale: str = "small"):
@@ -961,10 +869,11 @@ def run_all(seed: int, scale: str = "small"):
         raise ValueError(f"scale must be 'small' or 'medium', got {scale!r}")
     factor = 1 if scale == "small" else 10
     results = []
-    for idx, (name, runner) in enumerate(_RUNNERS.items()):
-        params = {k: v * factor for k, v in SMALL_COUNTS[name].items()}
-        child = np.random.default_rng([int(seed), idx])
-        results.append(runner(**params, seed=child))
+    for idx, (name, suite, counts) in enumerate(SUITES):
+        params = {k: v * factor for k, v in counts.items()}
+        out = suite(**params, seed=np.random.default_rng([int(seed), idx]))
+        margins, findings = out if isinstance(out, tuple) else (out, [])
+        results.append(_result(name, margins, findings))
     return results
 
 

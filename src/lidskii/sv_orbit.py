@@ -26,6 +26,7 @@ from .majorization import sort_desc
 from .matrices import (
     GAP_TOL,
     as_rng,
+    check_tol,
     cluster_desc,
     conj_t,
     frob,
@@ -117,15 +118,18 @@ def hermitian_residuals(A, B):
 def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     """Simultaneous diagonalization of a pair with Hermitian products.
 
-    Requires A^H B and A B^H Hermitian within ``tol * (1 + |A| |B|)``.  The
+    Requires A^H B and A B^H Hermitian within ``tol * |A|_F |B|_F``, which
+    does not change when A or B is rescaled; the off-block mass and the
+    Hermitian defect of each block are held to the same bound.  The
     algorithm reduces A to a scalar block form via its SVD, checks that B is
     block diagonal with Hermitian blocks wherever the singular value of A is
     nonzero, diagonalizes those blocks, and takes an SVD of the block over
     the kernel of A.
     """
+    tol = check_tol(tol)
     A, B = _pair(A, B)
     d = A.shape[0]
-    scale = 1.0 + frob(A) * frob(B)
+    scale = frob(A) * frob(B)
     rA, rB = hermitian_residuals(A, B)
     if max(rA, rB) > tol * scale:
         raise ValueError(
@@ -248,17 +252,19 @@ def _nonhermitian_witness(norm, A, B, psi0, seed):
 def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertificate:
     """Certify or reject a candidate local minimizer on its singular orbit.
 
-    Certification route: Hermitian products -> joint SVD -> beta must be
-    non-negative (else a phase curve drops the objective) and monotonically
-    aligned with alpha (else the problem reduces to the Hermitian orbit on
-    the diagonal pair and a Givens curve drops it).
+    Certification route: Hermitian products (within ``tol * |A|_F |B|_F``,
+    as in ``joint_svd``) -> joint SVD -> beta must be non-negative (else a
+    phase curve drops the objective) and monotonically aligned with alpha
+    (else the problem reduces to the Hermitian orbit on the diagonal pair
+    and a Givens curve drops it).
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
+    tol = check_tol(tol)
     A, B = _pair(A, B)
     psi0 = evaluate(norm, A - B)
     rA, rB = hermitian_residuals(A, B)
-    scale = 1.0 + frob(A) * frob(B)
+    scale = frob(A) * frob(B)
     if max(rA, rB) > tol * scale:
         witness = _nonhermitian_witness(norm, A, B, psi0, seed)
         if witness is not None:

@@ -234,3 +234,34 @@ def test_cached_parser_leaks_nothing_between_calls(workdir, capsys):
     assert json.loads(consecutive[1][1])["seed"] == 0
     assert json.loads(consecutive[3][1])["seed"] == 0
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify-eig", "--S", "S", "--G0", "G_bad"],
+        ["certify-sv", "--A", "A", "--B", "B_neg"],
+        ["joint-svd", "--A", "A", "--B", "B_neg"],
+        ["fod-check", "--S", "S2", "--G", "frame"],
+        ["fod-optimize", "--S", "S2", "--a", "1,1", "--restarts", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_non_finite_tol_exits_one(workdir, command, value, capsys):
+    argv = [workdir.get(arg, arg) for arg in command]
+    assert main(argv + ["--tol", value]) == 1
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_mass_exits_one(workdir, capsys):
+    nan_frame = workdir["dir"] / "frame_nan.json"
+    payload = jsonio.frame_to_json(FrameSequence(np.eye(2, dtype=complex), [1.0, 1.0]))
+    payload["a"] = [1.0, float("nan")]
+    nan_frame.write_text(json.dumps(payload))
+    assert main(["fod-check", "--S", workdir["S2"], "--G", str(nan_frame)]) == 1
+    assert main(["fod-optimize", "--S", workdir["S2"], "--a", "1,nan", "--restarts", "1"]) == 1
+    assert main(["water-fill", "--lambda", "3,2,1", "--t", "inf"]) == 1
+    assert main(["water-fill", "--lambda", "3,2,1", "--t", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "positive and finite" in err and "Traceback" not in err

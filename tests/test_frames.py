@@ -53,11 +53,14 @@ def test_frame_operator_examples():
 
 
 def test_frame_validation():
+    for norms in ([1.0, -1.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError):
+            FrameSequence(np.eye(2, dtype=complex), norms)
+    for vectors in (2 * np.eye(2, dtype=complex), np.array([[1.0, 0.0], [np.nan, 1.0]])):
+        with pytest.raises(ValueError):
+            FrameSequence(vectors, [1.0, 1.0]).validate()
     with pytest.raises(ValueError):
-        FrameSequence(np.eye(2, dtype=complex), [1.0, -1.0])
-    bad = FrameSequence(2 * np.eye(2, dtype=complex), [1.0, 1.0])
-    with pytest.raises(ValueError):
-        bad.validate()
+        gradient_descent(np.eye(2), [1.0, np.nan])
 
 
 def test_theta_examples():
@@ -79,8 +82,9 @@ def test_water_fill_examples():
     assert c == pytest.approx(0.0) and np.allclose(spec, [1, 1])
     c, spec = water_fill([0.0, 0.0, 0.0], 2.0)
     assert c == pytest.approx(-2 / 3) and np.allclose(spec, 2 / 3)
-    with pytest.raises(ValueError):
-        water_fill([1, 1], 0.0)
+    for t in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            water_fill([1, 1], t)
     with pytest.raises(ValueError):
         water_fill([-1.0, 2.0], 1.0)
 
