@@ -6,7 +6,10 @@ backtracking and stop state, and restarts that stop leave the active stack.
 Every stacked operation it uses (matmul, ``eigvalsh``, ``svd``, the
 reductions) gives each slice the bits it gives that slice alone, so a
 restart descends exactly as it would in a batch of one.  ``frame_descent`` is
-that batch of one for the squared Frobenius objective.
+that batch of one for the squared Frobenius objective.  A restart retires
+with a stop code from ``STOPS``; the norm-distance objective adds a
+no-progress stop that cuts only a restart's flat tail, so the iterates
+before it are the same.
 
 ``orbit_spectra`` and ``psd_spectra`` sample spectra over stacks of Haar and
 Wishart-like draws supplied as pre-generated ``(n, d, d)`` Gaussian batches.
@@ -25,8 +28,8 @@ from .norms import evaluate, norm_gradient
 _EPS = float(np.finfo(np.float64).eps)
 
 # why a restart stopped; ``STOPS`` names the codes
-CONVERGED, STALLED, MAX_ITERS, DIVERGED = range(4)
-STOPS = ("converged", "stalled_line_search", "max_iters", "diverged")
+CONVERGED, STALLED, MAX_ITERS, DIVERGED, NO_PROGRESS = range(5)
+STOPS = ("converged", "stalled_line_search", "max_iters", "diverged", "no_progress")
 
 
 class SquaredFrobenius:
@@ -34,11 +37,13 @@ class SquaredFrobenius:
 
     Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 60 halvings.
     Below 64 eps (1 + F) an Armijo decrease cannot be certified in float64,
-    so there any non-increasing step within that floor is accepted.
+    so there any non-increasing step within that floor is accepted.  No
+    progress window: a restart runs until it converges, stalls or hits the cap.
     """
 
     backtracks = 60
     max_iters = 20000
+    window = None
 
     @staticmethod
     def value(X):
@@ -68,10 +73,18 @@ class NormDistance:
 
     Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 50 halvings;
     a step within 1e-15 (1 + value) of the current value is also accepted.
+
+    A restart stops without progress once, over the last ``window``
+    iterations, its gradient norm has set no new minimum and its value has
+    dropped by no more than that same slack: its descent is at float64
+    resolution.  On an attainable target (optimum 0) the norm is not
+    differentiable at the optimum, so there the gradient norm never falls
+    below ``grad_tol``.
     """
 
     backtracks = 50
     max_iters = 4000
+    window = 100
 
     def __init__(self, norm):
         if not norm.strictly_convex:
@@ -108,7 +121,10 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
     rescales each column back.  A restart stops when its gradient norm falls
     below ``grad_tol`` (CONVERGED), when no backtracked step is accepted
     (STALLED), when its objective turns non-finite (DIVERGED), or after
-    ``max_iters`` steps (MAX_ITERS).
+    ``max_iters`` steps (MAX_ITERS).  An objective with a ``window`` W also
+    stops a restart that has not converged when, over its last W
+    iterations, the gradient norm set no new minimum and the value dropped
+    by no more than ``objective.slack`` of the current value (NO_PROGRESS).
 
     Returns the final frames ``(B, d, k)``, one objective trace per restart
     (the start value and one value per accepted step), the last computed
@@ -134,17 +150,22 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
     F = objective.value(X)
     traces[:, 0] = F
     gnorm = np.full(n, np.inf)
+    # the no-progress window: lowest gradient norm so far, and the number of
+    # iterations since it last fell
+    W = objective.window
+    gmin = np.full(n, np.inf)
+    since = np.zeros(n, dtype=np.int64)
 
     def retire(done, code, it):
-        nonlocal rows, G, SG, X, F, RG, g2, gnorm
+        nonlocal rows, G, SG, X, F, RG, g2, gnorm, gmin, since
         who = rows[done]
         G_out[who] = G[done]
         gnorm_out[who] = gnorm[done]
         stop_out[who] = code
         iters[who] = it
         keep = ~done
-        rows, G, SG, X, F, RG, g2, gnorm = (
-            v[keep] for v in (rows, G, SG, X, F, RG, g2, gnorm)
+        rows, G, SG, X, F, RG, g2, gnorm, gmin, since = (
+            v[keep] for v in (rows, G, SG, X, F, RG, g2, gnorm, gmin, since)
         )
 
     for it in range(max_iters):
@@ -159,6 +180,16 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
             retire(done, CONVERGED, it)
             if not rows.size:
                 break
+        if W is not None:
+            fell = gnorm < gmin
+            gmin = np.where(fell, gnorm, gmin)
+            since = np.where(fell, 0, since + 1)
+            if max(since.tolist()) >= W:
+                done = (since >= W) & (traces[rows, it - W] - F <= objective.slack(F))
+                if any(done.tolist()):
+                    retire(done, NO_PROGRESS, it)
+                    if not rows.size:
+                        break
         eta = 1.0 / (8.0 * np.linalg.eigvalsh(SG)[:, -1] + 1.0)
         slope = objective.slope(g2)
         slack = objective.slack(F)

@@ -319,8 +319,13 @@ class DescentOptions:
 @dataclass
 class DescentTrace:
     """Iteration log: the objective at the start and after each accepted
-    step, the last gradient norm, and why the descent stopped (``stop`` is
-    "converged", "stalled_line_search" or "max_iters")."""
+    step, the last gradient norm, and why the descent stopped.
+
+    ``stop`` is "converged" (gradient norm below ``grad_tol``),
+    "stalled_line_search", "max_iters" or, for a non-Frobenius norm,
+    "no_progress": over the last 100 iterations the gradient norm set no new
+    minimum and the value fell by at most 1e-15 (1 + value).  Only
+    "converged" sets ``converged``."""
 
     objective: np.ndarray
     grad_norm: float
@@ -388,9 +393,12 @@ def subgradient_descent(norm: NormSpec, S, a, seed=0, opts: DescentOptions | Non
     """Riemannian gradient descent on the norm value for smooth strictly
     convex norms (default budget 4000 iterations).
 
-    Exploration tool for the non-Frobenius conjecture harness; same
-    retraction and stopping rule as the Frobenius path, plain step halving
-    on the norm value itself.
+    Exploration tool for the non-Frobenius conjecture harness.  Same
+    retraction and gradient-norm test as the Frobenius path, with plain step
+    halving on the norm value itself.  It adds a no-progress stop (see
+    ``DescentTrace``): near the optimum float64 cannot resolve the
+    gradient-norm test, and at an attainable target the norm is not
+    differentiable, so without it a descent would run to the budget.
     """
     return _descend(_kernels.NormDistance(norm), S, a, [seed], opts)[0]
 

@@ -313,13 +313,16 @@ def commutant_is_trivial(S, G0, tol: float = NULLSPACE_TOL):
     is equivalent to the two-sided conjugation difference map being a
     submersion at the identity.
 
-    Returns ``(is_trivial, kernel_dim)``.
+    Returns ``(is_trivial, kernel_dim)``; for d = 1 there are no traceless
+    Hermitians and the commutant is C * I, so ``(True, 0)``.
     """
     S = as_hermitian(S)
     G0 = as_hermitian(G0)
     if S.shape != G0.shape:
         raise ValueError(f"dim mismatch: {S.shape} vs {G0.shape}")
     d = S.shape[0]
+    if d == 1:
+        return True, 0
     basis = _herm_traceless_basis(d)
     cols = [_realvec(Y @ S - S @ Y, Y @ G0 - G0 @ Y) for Y in basis]
     kdim, _ = _kernel(np.stack(cols, axis=1), tol)

@@ -336,11 +336,17 @@ def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, back
 
 def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, backtrack=0.5):
     """Projected descent of norm(S - S_G) for one frame, recomputing S_G,
-    the residual and the value at every iterate; same return values."""
+    the residual and the value at every iterate; same return values.
+
+    Stops without progress once 100 iterations in a row set no new lowest
+    gradient norm and the value 100 iterations back is within 1e-15 (1 +
+    value) of the current one."""
+    window = 100
     G = np.array(G0, dtype=complex)
     trace = []
     gnorm, stop = math.inf, "max_iters"
-    for _ in range(max_iters):
+    lowest, lowest_at = math.inf, 0
+    for it in range(max_iters):
         SG = G @ G.conj().T
         X = S - SG
         value = evaluate(norm, X)
@@ -350,6 +356,11 @@ def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4,
         gnorm = float(np.sqrt(np.sum(np.abs(RG) ** 2)))
         if gnorm < grad_tol:
             stop = "converged"
+            break
+        if gnorm < lowest:
+            lowest, lowest_at = gnorm, it
+        if it - lowest_at >= window and trace[it - window] - value <= 1e-15 * (1.0 + value):
+            stop = "no_progress"
             break
         eta = 1.0 / (8.0 * float(np.linalg.eigvalsh(SG)[-1]) + 1.0)
         for _bt in range(50):

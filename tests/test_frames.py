@@ -332,3 +332,18 @@ def test_descent_stop_reasons():
     unshrinkable = DescentOptions(max_iters=40, backtrack=1.0)
     stops = {tr.stop for _G, tr in frames.descend_restarts(schatten(3), S, a, range(8), unshrinkable)}
     assert stops == {"stalled_line_search", "max_iters"}
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_norm_descent_stops_without_progress_on_attainable_target(p):
+    # S = S_G* is attained, so the optimum is 0, where the norm is not
+    # differentiable and its gradient keeps unit size: the restarts cannot
+    # meet grad_tol and stop once the value no longer falls
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.5, 1.5, 4)
+    S = frame_operator(random_frame(3, a, rng))
+    for G, tr in frames.descend_restarts(schatten(p), S, a, range(4)):
+        assert tr.stop == "no_progress" and not tr.converged
+        assert tr.iterations <= 1000 and len(tr.objective) == tr.iterations + 1
+        theta = frame_operator_distance(schatten(p), S, G)
+        assert max(theta, tr.objective[-1]) <= 1e-12 * np.linalg.norm(S)

@@ -9,7 +9,7 @@ from oracles import frame_descent_serial, norm_descent_serial, orbit_spectra_loo
 from lidskii import _kernels
 from lidskii.backend import backend_name
 from lidskii.frames import frame_operator, random_frame
-from lidskii.matrices import random_hermitian
+from lidskii.matrices import haar_unitary, random_hermitian
 from lidskii.norms import schatten
 
 
@@ -119,6 +119,43 @@ def test_norm_batch_mixing_stops():
     assert {"stalled_line_search", "max_iters"} <= set(names)
     capped = names.index("max_iters")
     assert len(traces[capped]) == 41
+
+
+def _criterion_09_instance(index):
+    """S, squared norms and first restart seed of criterion 09's instance
+    ``index`` (seed 109), drawn as that criterion draws them."""
+    rng = np.random.default_rng(109)
+    for _ in range(index + 1):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(d, d + 3))
+        a = rng.uniform(0.3, 1.5, k)
+        lam = np.sort(rng.uniform(0, 3, d))[::-1]
+        V = haar_unitary(d, rng)
+        seed = int(rng.integers(0, 2**31))
+        rng.integers(0, 2**31, size=7)
+    S = (V * lam) @ V.conj().T
+    return (S + S.conj().T) / 2, a, seed, V
+
+
+def test_norm_batch_mixing_window_stops():
+    # criterion 09's instance 3 under Schatten 3: its restarts flatten out
+    # at the optimum without meeting grad_tol, two of them within the cap
+    # of 600 and two not; a frame of eigenvectors of S is critical
+    S, a, seed, V = _criterion_09_instance(3)
+    critical = V[:, np.arange(a.size) % V.shape[0]] * np.sqrt(a)
+    G0 = np.stack([critical] + [random_frame(S.shape[0], a, seed + r).vectors for r in range(4)])
+    objective, serial = _objectives()[1]
+    traces, stops = _assert_batch_matches_alone(objective, serial, S, G0, a, 600, 1e-9, 1e-4, 0.5)
+    names = [_kernels.STOPS[s] for s in stops]
+    assert names[0] == "converged" and len(traces[0]) == 1
+    assert sorted(names[1:]) == ["max_iters", "max_iters", "no_progress", "no_progress"]
+    W = objective.window
+    for trace, name in zip(traces[1:], names[1:]):
+        if name == "no_progress":
+            assert W < len(trace) - 1 < 600
+            assert trace[-1 - W] - trace[-1] <= objective.slack(trace[-1])
+        else:
+            assert len(trace) == 601
 
 
 def _reference_instance(seed, d, k, a=None):

@@ -192,6 +192,12 @@ def test_commutant_examples():
     assert not ok and kdim >= 1
 
 
+def test_commutant_is_trivial_for_d1():
+    # no traceless Hermitian 1 x 1 matrix: the commutant is C * I
+    assert commutant_is_trivial([[1.0]], [[2.0]]) == (True, 0)
+    assert commutant_is_trivial(np.array([[3.0 + 0j]]), np.array([[3.0]])) == (True, 0)
+
+
 def test_commutant_agrees_with_kron_oracle():
     rng = np.random.default_rng(3)
     from lidskii.properties import _degenerate_commutant_pair
