@@ -3,6 +3,9 @@
 ``lockstep_descent`` runs projected descent on the product of spheres for a
 ``(B, d, k)`` stack of frames at once: every restart keeps its own step size,
 backtracking and stop state, and restarts that stop leave the active stack.
+Each restart starts its Armijo backtracking from a Barzilai-Borwein step
+built from its own last move, so ``eigvalsh`` of S_G runs only for the
+restarts that fall back to the fixed step 1 / (8 lam_1(S_G) + 1).
 Every stacked operation it uses (matmul, ``eigvalsh``, ``svd``, the
 reductions) gives each slice the bits it gives that slice alone, so a
 restart descends exactly as it would in a batch of one.  ``frame_descent`` is
@@ -35,7 +38,7 @@ STOPS = ("converged", "stalled_line_search", "max_iters", "diverged", "no_progre
 class SquaredFrobenius:
     """||S - S_G||_F^2, Euclidean gradient -4 (S - S_G) g_i per column.
 
-    Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 60 halvings.
+    Armijo backtracking from the descent's BB step, at most 60 halvings.
     Below 64 eps (1 + F) an Armijo decrease cannot be certified in float64,
     so there any non-increasing step within that floor is accepted.  No
     progress window: a restart runs until it converges, stalls or hits the cap.
@@ -71,7 +74,7 @@ class NormDistance:
     """norm(S - S_G) for a smooth strictly convex norm, Euclidean gradient
     -2 P g_i with P the norm's gradient at S - S_G.
 
-    Armijo backtracking from 1 / (8 lam_1(S_G) + 1), at most 50 halvings;
+    Armijo backtracking from the descent's BB step, at most 50 halvings;
     a step within 1e-15 (1 + value) of the current value is also accepted.
 
     A restart stops without progress once, over the last ``window``
@@ -117,14 +120,24 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
     """Projected gradient descent of every frame in a ``(B, d, k)`` stack.
 
     Columns live on the spheres ||g_i||^2 = a_i: a step moves against the
-    Riemannian gradient (the Euclidean one minus its radial part) and
-    rescales each column back.  A restart stops when its gradient norm falls
-    below ``grad_tol`` (CONVERGED), when no backtracked step is accepted
-    (STALLED), when its objective turns non-finite (DIVERGED), or after
-    ``max_iters`` steps (MAX_ITERS).  An objective with a ``window`` W also
-    stops a restart that has not converged when, over its last W
-    iterations, the gradient norm set no new minimum and the value dropped
-    by no more than ``objective.slack`` of the current value (NO_PROGRESS).
+    Riemannian gradient RG (the Euclidean one minus its radial part) and
+    rescales each column back.  Each restart backtracks from a
+    Barzilai-Borwein step (Barzilai and Borwein 1988) built from its last
+    move s = G_k - G_{k-1} and y = RG_k - RG_{k-1}, both plain ambient
+    differences: BB1 = <s,s> / Re<s,y> on odd iterations and BB2 =
+    Re<s,y> / <y,y> on even ones.  On iteration 0, and where Re<s,y> <= 0
+    or the quotient is not finite, it falls back to 1 / (8 lam_1(S_G) + 1),
+    and only those restarts pay for ``eigvalsh``.  The line search accepts
+    no step that raises the objective by more than its ``slack``, so each
+    trace is non-increasing to within that slack.
+
+    A restart stops when its gradient norm falls below ``grad_tol``
+    (CONVERGED), when no backtracked step is accepted (STALLED), when its
+    objective turns non-finite (DIVERGED), or after ``max_iters`` steps
+    (MAX_ITERS).  An objective with a ``window`` W also stops a restart
+    that has not converged when, over its last W iterations, the gradient
+    norm set no new minimum and the value dropped by no more than
+    ``objective.slack`` of the current value (NO_PROGRESS).
 
     Returns the final frames ``(B, d, k)``, one objective trace per restart
     (the start value and one value per accepted step), the last computed
@@ -156,16 +169,20 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
     gmin = np.full(n, np.inf)
     since = np.zeros(n, dtype=np.int64)
 
+    # the frame and gradient one iteration back, for the BB step (on
+    # iteration 0 they are placeholders that no step reads)
+    Gprev = RGprev = G
+
     def retire(done, code, it):
-        nonlocal rows, G, SG, X, F, RG, g2, gnorm, gmin, since
+        nonlocal rows, G, SG, X, F, RG, g2, gnorm, gmin, since, Gprev, RGprev
         who = rows[done]
         G_out[who] = G[done]
         gnorm_out[who] = gnorm[done]
         stop_out[who] = code
         iters[who] = it
         keep = ~done
-        rows, G, SG, X, F, RG, g2, gnorm, gmin, since = (
-            v[keep] for v in (rows, G, SG, X, F, RG, g2, gnorm, gmin, since)
+        rows, G, SG, X, F, RG, g2, gnorm, gmin, since, Gprev, RGprev = (
+            v[keep] for v in (rows, G, SG, X, F, RG, g2, gnorm, gmin, since, Gprev, RGprev)
         )
 
     for it in range(max_iters):
@@ -190,7 +207,23 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
                     retire(done, NO_PROGRESS, it)
                     if not rows.size:
                         break
-        eta = 1.0 / (8.0 * np.linalg.eigvalsh(SG)[:, -1] + 1.0)
+        # the BB step, or 1 / (8 lam_1(S_G) + 1) where it falls back
+        if it:
+            s, y = G - Gprev, RG - RGprev
+            sy = np.add.reduce((np.conj(s) * y).real, axis=(-2, -1))
+            if it % 2:
+                num, den = np.add.reduce(np.square(np.abs(s)), axis=(-2, -1)), sy
+            else:
+                num, den = sy, np.add.reduce(np.square(np.abs(y)), axis=(-2, -1))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                eta = num / den
+            fall = ~((sy > 0) & np.isfinite(eta))
+        else:
+            eta = np.empty(rows.size)
+            fall = np.ones(rows.size, dtype=bool)
+        if any(fall.tolist()):
+            eta[fall] = 1.0 / (8.0 * np.linalg.eigvalsh(SG[fall])[:, -1] + 1.0)
+        Gprev, RGprev = G, RG
         slope = objective.slope(g2)
         slack = objective.slack(F)
         up = F + slack
@@ -215,7 +248,8 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
                 break
             if any(accepted):
                 if pend is None:
-                    pend = np.arange(rows.size)
+                    # G is written row by row from here on, and Gprev holds it
+                    pend, G = np.arange(rows.size), G.copy()
                 took = pend[ok]
                 G[took], SG[took], X[took], F[took] = Gc[ok], SGc[ok], Xc[ok], Fc[ok]
                 miss = ~ok

@@ -309,7 +309,11 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
 
 @dataclass
 class DescentOptions:
-    max_iters: int = 20000
+    """Descent settings; ``max_iters`` None is the objective's own budget
+    (20000 iterations for the squared Frobenius distance, 4000 for another
+    norm), ``init`` None starts each restart from its seeded random frame."""
+
+    max_iters: int | None = None
     grad_tol: float = 1e-9
     armijo_c: float = 1e-4
     backtrack: float = 0.5
@@ -325,7 +329,9 @@ class DescentTrace:
     "stalled_line_search", "max_iters" or, for a non-Frobenius norm,
     "no_progress": over the last 100 iterations the gradient norm set no new
     minimum and the value fell by at most 1e-15 (1 + value).  Only
-    "converged" sets ``converged``."""
+    "converged" sets ``converged``.  Each step backtracks from a
+    Barzilai-Borwein step, so ``iterations`` counts accepted steps of
+    varying length (see ``_kernels.lockstep_descent``)."""
 
     objective: np.ndarray
     grad_norm: float
@@ -339,7 +345,8 @@ def _descend(objective, S, a, seeds, opts):
     S = as_hermitian(S)
     a = np.asarray(a, dtype=float).ravel()
     _check_norms(a)
-    opts = opts or DescentOptions(max_iters=objective.max_iters)
+    opts = opts or DescentOptions()
+    max_iters = objective.max_iters if opts.max_iters is None else opts.max_iters
     seeds = list(seeds)
     if opts.init is not None:
         G0 = frame(opts.init, a).validate().vectors
@@ -347,7 +354,7 @@ def _descend(objective, S, a, seeds, opts):
     else:
         G0 = np.stack([random_frame(S.shape[0], a, s).vectors for s in seeds])
     G, traces, gnorms, stops = _kernels.lockstep_descent(
-        objective, S, G0, a, opts.max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack
+        objective, S, G0, a, max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack
     )
     stops = [_kernels.STOPS[code] for code in stops.tolist()]
     if "diverged" in stops or not all(np.isfinite(t).all() for t in traces):
@@ -380,11 +387,13 @@ def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
     """Projected gradient descent for the squared Frobenius frame distance.
 
     The Euclidean gradient with respect to g_i is -4 (S - S_G) g_i; steps
-    retract onto the spheres by rescaling, with Armijo backtracking from
-    1 / (8 lam_1(S_G) + 1).  Runs until the Riemannian gradient norm falls
-    below ``grad_tol``, the line search stalls or the iteration budget is
-    spent; the objective trace is non-increasing within line-search
-    resolution.  Deterministic per seed.
+    retract onto the spheres by rescaling, with Armijo backtracking from a
+    Barzilai-Borwein step built from the last move (alternating BB1 and
+    BB2), or from 1 / (8 lam_1(S_G) + 1) on the first iteration and where
+    the BB quotient is not a finite positive number.  Runs until the
+    Riemannian gradient norm falls below ``grad_tol``, the line search
+    stalls or the iteration budget is spent; the objective trace is
+    non-increasing within line-search resolution.  Deterministic per seed.
     """
     return _descend(_kernels.SquaredFrobenius, S, a, [seed], opts)[0]
 
@@ -394,11 +403,13 @@ def subgradient_descent(norm: NormSpec, S, a, seed=0, opts: DescentOptions | Non
     convex norms (default budget 4000 iterations).
 
     Exploration tool for the non-Frobenius conjecture harness.  Same
-    retraction and gradient-norm test as the Frobenius path, with plain step
-    halving on the norm value itself.  It adds a no-progress stop (see
-    ``DescentTrace``): near the optimum float64 cannot resolve the
-    gradient-norm test, and at an attainable target the norm is not
-    differentiable, so without it a descent would run to the budget.
+    retraction, Barzilai-Borwein step and gradient-norm test as the
+    Frobenius path, with Armijo backtracking on the norm value itself (a
+    step within 1e-15 (1 + value) of the current value is also accepted).
+    It adds a no-progress stop (see ``DescentTrace``): at an attainable
+    target the norm is not differentiable at the optimum, so the gradient
+    norm does not fall below ``grad_tol`` and without it a descent would
+    run to the budget.
     """
     return _descend(_kernels.NormDistance(norm), S, a, [seed], opts)[0]
 

@@ -297,9 +297,30 @@ def psd_spectra_loop(S, t, gaussians):
 # frame descents, one restart at a time
 
 
+def _bb_step(it, G, RG, G_prev, RG_prev, SG):
+    """The Barzilai-Borwein step of iteration ``it`` from the last move:
+    <s,s>/Re<s,y> on odd iterations, Re<s,y>/<y,y> on even ones, and
+    1 / (8 lam_1(S_G) + 1) on iteration 0 or where Re<s,y> <= 0 or the
+    quotient is not finite."""
+    if it:
+        s, y = G - G_prev, RG - RG_prev
+        ss = float(np.sum(np.abs(s) ** 2))
+        sy = float(np.sum((np.conj(s) * y).real))
+        yy = float(np.sum(np.abs(y) ** 2))
+        if sy > 0:
+            if it % 2:
+                eta = ss / sy
+            else:
+                eta = sy / yy if yy else math.inf
+            if math.isfinite(eta):
+                return eta
+    return 1.0 / (8.0 * float(np.linalg.eigvalsh(SG)[-1]) + 1.0)
+
+
 def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, backtrack=0.5):
-    """Squared-Frobenius projected descent of one frame; returns the frame,
-    the objective trace, the last gradient norm and the stop reason."""
+    """Squared-Frobenius projected descent of one frame, backtracking from
+    ``_bb_step``; returns the frame, the objective trace, the last gradient
+    norm and the stop reason."""
     eps = float(np.finfo(float).eps)
     G = np.array(G0, dtype=complex)
     SG = G @ G.conj().T
@@ -307,7 +328,8 @@ def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, back
     F = np.sum(np.abs(X) ** 2)
     trace = [F]
     gnorm, stop = math.inf, "max_iters"
-    for _ in range(max_iters):
+    G_prev = RG_prev = None
+    for it in range(max_iters):
         EG = -4.0 * (X @ G)
         RG = EG - G * (np.sum((np.conj(EG) * G).real, axis=0) / a)
         g2 = np.sum(np.abs(RG) ** 2)
@@ -315,7 +337,8 @@ def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, back
         if gnorm < grad_tol:
             stop = "converged"
             break
-        eta = 1.0 / (8.0 * np.linalg.eigvalsh(SG)[-1] + 1.0)
+        eta = _bb_step(it, G, RG, G_prev, RG_prev, SG)
+        G_prev, RG_prev = G, RG
         floor = 64.0 * eps * (1.0 + F)
         for _bt in range(60):
             Gc = G - eta * RG
@@ -335,8 +358,9 @@ def frame_descent_serial(S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, back
 
 
 def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4, backtrack=0.5):
-    """Projected descent of norm(S - S_G) for one frame, recomputing S_G,
-    the residual and the value at every iterate; same return values.
+    """Projected descent of norm(S - S_G) for one frame, backtracking from
+    ``_bb_step`` and recomputing S_G, the residual and the value at every
+    iterate; same return values.
 
     Stops without progress once 100 iterations in a row set no new lowest
     gradient norm and the value 100 iterations back is within 1e-15 (1 +
@@ -346,6 +370,7 @@ def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4,
     trace = []
     gnorm, stop = math.inf, "max_iters"
     lowest, lowest_at = math.inf, 0
+    G_prev = RG_prev = None
     for it in range(max_iters):
         SG = G @ G.conj().T
         X = S - SG
@@ -362,7 +387,8 @@ def norm_descent_serial(norm, S, G0, a, max_iters, grad_tol=1e-9, armijo_c=1e-4,
         if it - lowest_at >= window and trace[it - window] - value <= 1e-15 * (1.0 + value):
             stop = "no_progress"
             break
-        eta = 1.0 / (8.0 * float(np.linalg.eigvalsh(SG)[-1]) + 1.0)
+        eta = _bb_step(it, G, RG, G_prev, RG_prev, SG)
+        G_prev, RG_prev = G, RG
         for _bt in range(50):
             Gc = G - eta * RG
             Gc *= np.sqrt(a / np.sum(np.abs(Gc) ** 2, axis=0))

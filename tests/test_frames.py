@@ -304,32 +304,52 @@ def test_descend_restarts_keeps_seed_order():
 
 def test_capped_norm_descent_trace_ends_at_the_returned_frame():
     S, a = _restart_instance(8)
-    G, tr = subgradient_descent(schatten(3), S, a, seed=4, opts=DescentOptions(max_iters=60))
+    # both descents converge after 33-34 iterations; cap them at 20
+    G, tr = subgradient_descent(schatten(3), S, a, seed=4, opts=DescentOptions(max_iters=20))
     assert tr.stop == "max_iters" and not tr.converged
-    assert len(tr.objective) == tr.iterations + 1 == 61
+    assert len(tr.objective) == tr.iterations + 1 == 21
     theta = frame_operator_distance(schatten(3), S, G)
     assert abs(tr.objective[-1] - theta) <= 1e-14 * theta
-    G, tr = gradient_descent(S, a, seed=4, opts=DescentOptions(max_iters=60))
-    assert tr.stop == "max_iters" and len(tr.objective) == tr.iterations + 1 == 61
+    G, tr = gradient_descent(S, a, seed=4, opts=DescentOptions(max_iters=20))
+    assert tr.stop == "max_iters" and len(tr.objective) == tr.iterations + 1 == 21
+
+
+def test_descent_options_keep_the_objective_budget(monkeypatch):
+    # options that leave max_iters unset run the objective's own budget
+    # (4000 iterations for a norm, 20000 for the squared Frobenius
+    # distance), here shrunk so that the descents meet it
+    monkeypatch.setattr(frames._kernels.NormDistance, "max_iters", 5)
+    monkeypatch.setattr(frames._kernels.SquaredFrobenius, "max_iters", 6)
+    S, a = _restart_instance(8)
+    init = random_frame(3, a, 4).vectors
+    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(init=init))
+    assert tr.stop == "max_iters" and tr.iterations == 5
+    _G, tr = gradient_descent(S, a, opts=DescentOptions(init=init))
+    assert tr.stop == "max_iters" and tr.iterations == 6
+    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(max_iters=3))
+    assert tr.stop == "max_iters" and tr.iterations == 3
 
 
 def test_descent_stop_reasons():
-    # Frobenius: S attained, a line search that may not shrink its step
-    # (backtrack 1) with Armijo c = 0.75 stalls from some starts
+    # Frobenius: S attained at the start of seed 1, so that restart
+    # converges at once; a line search that may not shrink its step
+    # (backtrack 1) with Armijo c = 0.75 stalls at the first step of seed 3
+    # and takes the first step of seed 0, which then meets the cap of 1
     rng = np.random.default_rng(2)
     a = rng.uniform(0.5, 1.5, 4)
-    S = frame_operator(random_frame(3, a, rng))
-    unshrinkable = DescentOptions(max_iters=200, armijo_c=0.75, backtrack=1.0)
-    stops = [tr.stop for _G, tr in frames.descend_restarts(frobenius(), S, a, range(3), unshrinkable)]
+    S = frame_operator(random_frame(3, a, 1))
+    unshrinkable = DescentOptions(max_iters=1, armijo_c=0.75, backtrack=1.0)
+    stops = [tr.stop for _G, tr in frames.descend_restarts(frobenius(), S, a, [0, 1, 3], unshrinkable)]
     assert stops == ["max_iters", "converged", "stalled_line_search"]
     # Schatten-3: a critical point converges at once; from random starts the
-    # unshrinkable line search stalls or runs into the cap
+    # unshrinkable line search stalls (after 3 to 20 steps) or runs into the
+    # cap of 10
     S = np.diag([2.0, 1.0])
     a = np.array([2.0, 1.0])
     critical = np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]])
     _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(init=critical))
     assert tr.stop == "converged" and tr.iterations == 0
-    unshrinkable = DescentOptions(max_iters=40, backtrack=1.0)
+    unshrinkable = DescentOptions(max_iters=10, backtrack=1.0)
     stops = {tr.stop for _G, tr in frames.descend_restarts(schatten(3), S, a, range(8), unshrinkable)}
     assert stops == {"stalled_line_search", "max_iters"}
 
