@@ -69,7 +69,7 @@ def _cmd_certify_eig(args):
             raise ValueError(
                 f"G0 is not on the orbit of mu: spectrum gap {gap:.3e}"
             )
-    cert = eig_orbit.certify_local(norm, S, G0, tol=args.tol, seed=args.seed)
+    cert = eig_orbit.certify_local(norm, S, G0, tol=args.tol)
     return jsonio.eig_certificate_to_json(cert, norm, args.tol, args.seed), VERDICT_EXIT[cert.verdict]
 
 
@@ -77,7 +77,7 @@ def _cmd_certify_sv(args):
     A = _load_matrix(args.A)
     B = _load_matrix(args.B)
     norm = parse_norm(args.norm)
-    cert = sv_orbit.certify_local(norm, A, B, tol=args.tol, seed=args.seed)
+    cert = sv_orbit.certify_local(norm, A, B, tol=args.tol)
     return jsonio.sv_certificate_to_json(cert, norm, args.tol, args.seed), VERDICT_EXIT[cert.verdict]
 
 

@@ -11,8 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from .matrices import as_rng, skew_exp, unit_skew
-
 CURVE_SAMPLES = 64
 DROP_TOL = 1e-10  # relative threshold for a verified drop
 MONOTONE_SLACK = 1e-12
@@ -29,7 +27,7 @@ class DescentCurve:
     values, and ``as_point`` turns one raw point into the constraint-set
     object (the identity for matrices, a FrameSequence for frames)."""
 
-    kind: str  # "givens" | "phase" | "gradient_flow" | "delta_search" | "escape"
+    kind: str  # "givens" | "phase" | "gradient_flow" | "escape"
     param: int | None
     ts: np.ndarray
     values: np.ndarray
@@ -59,29 +57,6 @@ def build_curve(kind, param, point_fn, value_fn, ts, as_point=_same) -> DescentC
     values = np.asarray(value_fn(point_fn(ts_full)), dtype=float)
     drop = float(values[0] - values.min())
     return DescentCurve(kind, param, ts_full, values, drop, point_fn, value_fn, as_point)
-
-
-def rotation_search(seed, n_gen, d, radii, tries, screen, curve_at, threshold, drop_req):
-    """Random search for a descent curve built from unit skew generators.
-
-    At each radius draws ``tries`` sets of ``n_gen`` unit skew-Hermitian
-    d x d generators from one Gaussian block (real then imaginary part of
-    each generator, set after set), rotates by all of them at once and keeps
-    the sets whose ``screen`` value, given the ``(tries, n_gen, d, d)``
-    stack of rotations, lies below ``threshold``.  ``curve_at(X, radius)``
-    then builds the curve of each kept set in draw order; the first one
-    whose trimmed prefix drops by more than ``drop_req`` is returned.
-    Returns None when no radius yields one.
-    """
-    rng = as_rng(seed)
-    for radius in radii:
-        Z = rng.standard_normal((tries, n_gen, 2, d, d))
-        X = unit_skew(Z[:, :, 0] + 1j * Z[:, :, 1])
-        for i in np.flatnonzero(screen(skew_exp(X, radius)) < threshold):
-            trimmed = trim_to_descent(curve_at(X[i], radius), drop_req)
-            if trimmed is not None:
-                return trimmed
-    return None
 
 
 def trim_to_descent(curve: DescentCurve, drop_req: float):

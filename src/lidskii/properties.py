@@ -466,7 +466,7 @@ def descent_witness_margins(n, seed):
     for _ in range(n):
         d = _rand_dim(rng, 2, 5)
         S, G0, lam, mu = commuting_candidate(d, rng, aligned=False)
-        cert = eig_orbit.certify_local(norm, S, G0, seed=rng)
+        cert = eig_orbit.certify_local(norm, S, G0)
         if cert.verdict != "not_local_min" or cert.descent_witness is None:
             margins.append(-1.0)
             continue
@@ -508,7 +508,7 @@ def prop_eig_soundness_small_d(n, seed):
         d = int(rng.integers(2, 4))
         if i % 2 == 0:
             S, G0, _, mu = commuting_candidate(d, rng, aligned=False)
-            cert = eig_orbit.certify_local(norm, S, G0, seed=rng)
+            cert = eig_orbit.certify_local(norm, S, G0)
             if cert.verdict != "not_local_min":
                 margins.append(-1.0)
                 continue
@@ -526,7 +526,7 @@ def prop_eig_soundness_small_d(n, seed):
             margins.append(found)
         else:
             S, G0, _, mu = commuting_candidate(d, rng, aligned=True)
-            cert = eig_orbit.certify_local(norm, S, G0, seed=rng)
+            cert = eig_orbit.certify_local(norm, S, G0)
             if cert.verdict != "certified_global":
                 margins.append(-1.0)
                 continue
@@ -612,7 +612,7 @@ def prop_sv_certified_beats_samples(n_cand, n_samples, seed):
         A = random_general(d, rng)
         s = mj.sort_desc(rng.uniform(0.1, 2.0, d))
         B = sv_orbit.global_minimizer(A, s)
-        cert = sv_orbit.certify_local(norm, A, B, seed=rng)
+        cert = sv_orbit.certify_local(norm, A, B)
         if cert.verdict != "certified_global":
             margins.append(-1.0)
             continue
@@ -630,7 +630,7 @@ def prop_sv_scalar_case(n, seed):
         s = float(rng.uniform(0.2, 2.0))
         if i % 2 == 0:
             b = s * a / abs(a)
-            cert = sv_orbit.certify_local(norm, [[a]], [[b]], seed=rng)
+            cert = sv_orbit.certify_local(norm, [[a]], [[b]])
             aligned = (np.conj(a) * b).real >= 0 and abs((np.conj(a) * b).imag) < 1e-12
             margins.append(
                 1.0 if (cert.verdict == "certified_global" and aligned) else -1.0
@@ -638,7 +638,7 @@ def prop_sv_scalar_case(n, seed):
         else:
             phase = np.exp(1j * rng.uniform(0.5, np.pi))
             b = s * a / abs(a) * phase
-            cert = sv_orbit.certify_local(norm, [[a]], [[b]], seed=rng)
+            cert = sv_orbit.certify_local(norm, [[a]], [[b]])
             margins.append(1.0 if cert.verdict == "not_local_min" else -1.0)
     return margins
 

@@ -5,22 +5,20 @@ the kernel systems are assembled from Kronecker products and commutation
 matrices acting on realified coordinates (the library loops over structured
 basis matrices), water filling is solved by bisection (the library
 solves the piecewise-linear equation in closed form), the orbit
-certifiers' witness searches run one try and one curve sample at a time
-(the library screens all tries of a radius and samples a whole curve as
-one stack), the spectrum samplers run one sample at a time, the
-singular-value-orbit sampler draws one Haar unitary at a time, and the frame
-descents run one restart at a time on 2-d arrays (the library descends a
-stack of restarts in lockstep).
+certifiers' gradient flows are sampled one curve point at a time (the
+library samples a whole curve as one stack), the spectrum samplers run one
+sample at a time, the singular-value-orbit sampler draws one Haar unitary
+at a time, and the frame descents run one restart at a time on 2-d arrays
+(the library descends a stack of restarts in lockstep).
 """
 
 import math
 
 import numpy as np
 
-from lidskii import eig_orbit, sv_orbit
 from lidskii.curves import DROP_TOL, DescentCurve, log_grid, trim_to_descent
 from lidskii.majorization import sort_desc
-from lidskii.matrices import as_rng, frob, haar_unitary, random_general, require_square, skew_exp
+from lidskii.matrices import as_rng, frob, haar_unitary, require_square, skew_exp
 from lidskii.norms import evaluate, gauge, norm_gradient
 
 
@@ -145,7 +143,7 @@ def partial_sum_check(y, x) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# witness searches, one try and one curve sample at a time
+# witness flows, one curve sample at a time
 
 
 def _sampled_curve(kind, point, value):
@@ -154,58 +152,31 @@ def _sampled_curve(kind, point, value):
     return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point, value)
 
 
-def _random_unit_skew(d, rng):
-    Z = random_general(d, rng)
-    K = (Z - Z.conj().T) / 2.0
-    return K / frob(K)
-
-
-def eig_witness_search(norm, S, G0, phi0, seed):
-    """Commutator flow, then random two-sided rotations try by try."""
+def eig_witness_search(norm, S, G0, phi0):
+    """The commutator flow, trimmed to its verified descent, or None."""
     drop_req = DROP_TOL * (1.0 + phi0)
-    d = S.shape[0]
 
     def value(G):
         return evaluate(norm, S - G)
 
     P = norm_gradient(norm, S - G0)
     K = P @ G0 - G0 @ P
-    if frob(K) > 0:
-        K = K / frob(K)
+    if frob(K) == 0:
+        return None
+    K = K / frob(K)
 
-        def flow(t):
-            E = skew_exp(K, t)
-            G = E @ G0 @ E.conj().T
-            return (G + G.conj().T) / 2.0
+    def flow(t):
+        E = skew_exp(K, t)
+        G = E @ G0 @ E.conj().T
+        return (G + G.conj().T) / 2.0
 
-        trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
-        if trimmed is not None:
-            return trimmed
-    rng = as_rng(seed)
-    for radius in eig_orbit.SEARCH_RADII:
-        for _ in range(eig_orbit.SEARCH_TRIES):
-            X1 = _random_unit_skew(d, rng)
-            X2 = _random_unit_skew(d, rng)
-            U = skew_exp(X1, radius)
-            V = skew_exp(X2, radius)
-            if evaluate(norm, U.conj().T @ S @ U - V.conj().T @ G0 @ V) >= phi0 - drop_req:
-                continue
-
-            def point(t, X1=X1, X2=X2, radius=radius):
-                W = skew_exp(X2, t * radius) @ skew_exp(X1, t * radius).conj().T
-                G = W.conj().T @ G0 @ W
-                return (G + G.conj().T) / 2.0
-
-            trimmed = trim_to_descent(_sampled_curve("delta_search", point, value), drop_req)
-            if trimmed is not None:
-                return trimmed
-    return None
+    return trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
 
 
-def sv_witness_search(norm, A, B, psi0, seed):
-    """Two-sided flows, then random four-generator rotations try by try."""
+def sv_witness_search(norm, A, B, psi0):
+    """The first of the two two-sided flows whose trimmed drop verifies, or
+    None."""
     drop_req = DROP_TOL * (1.0 + psi0)
-    d = A.shape[0]
 
     def value(Bt):
         return evaluate(norm, A - Bt)
@@ -225,20 +196,6 @@ def sv_witness_search(norm, A, B, psi0, seed):
         trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
         if trimmed is not None:
             return trimmed
-    rng = as_rng(seed)
-    for radius in sv_orbit.SEARCH_RADII:
-        for _ in range(sv_orbit.SEARCH_TRIES):
-            Xs = [_random_unit_skew(d, rng) for _i in range(4)]
-
-            def point(t, Xs=Xs, radius=radius):
-                E = [skew_exp(X, t * radius) for X in Xs]
-                return E[0] @ E[1].conj().T @ B @ E[3] @ E[2].conj().T
-
-            if value(point(1.0)) >= psi0 - drop_req:
-                continue
-            trimmed = trim_to_descent(_sampled_curve("delta_search", point, value), drop_req)
-            if trimmed is not None:
-                return trimmed
     return None
 
 

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from lidskii import eig_orbit, frames, sv_orbit
+from lidskii.majorization import sort_desc
 from lidskii.matrices import (
     eigvalsh_desc,
     frob,
     haar_unitary,
     random_general,
     random_hermitian,
+    skew_exp,
     svd,
+    unit_skew,
 )
-from lidskii.norms import evaluate, frobenius, schatten
-from lidskii.properties import commuting_candidate
+from lidskii.norms import evaluate, frobenius, parse_norm, schatten
+from lidskii.properties import commuting_candidate, hermitian_product_pair
 
 NORM = frobenius()
 SCALES = (1.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -131,6 +134,106 @@ def test_zero_singular_value_of_A():
     _check_sv(A, misaligned, s, "not_local_min", "givens")
     negative = (U * (s * np.array([1.0, -1.0, 1.0]))) @ V.conj().T
     _check_sv(A, negative, s, "not_local_min", "phase")
+
+
+PAIR_SCALES = ((1e-3, 1.0), (1.0, 1e-3), (1.0, 1.0), (1e3, 1.0), (1.0, 1e3))
+
+
+def _sv_verdicts(A, B):
+    """Verdicts of (c A, c' B) over ``PAIR_SCALES``; a ValueError fails."""
+    return [sv_orbit.certify_local(NORM, c * A, c2 * B).verdict for c, c2 in PAIR_SCALES]
+
+
+def test_joint_svd_tests_do_not_depend_on_scale():
+    """A pair that passes the products test is never refused by the block
+    tests of ``joint_svd``, and its verdict does not change when A and B are
+    rescaled separately."""
+    phase = np.exp(4e-9j)
+    repro = [
+        (np.array([[0.5]]), np.array([[phase]])),
+        (0.5 * np.diag([1.0, 0.4]), np.diag([phase, 0.3])),
+    ]
+    for A, B in repro:
+        assert _sv_verdicts(A, B) == ["certified_global"] * len(PAIR_SCALES)
+    rng = np.random.default_rng(77)
+    for i in range(60):
+        d = int(rng.integers(2, 6))
+        A, B = hermitian_product_pair(d, rng, zero_block=(i % 2 == 0))
+        B = skew_exp(unit_skew(random_general(d, rng)), 10.0 ** rng.uniform(-11, -7)) @ B
+        assert len(set(_sv_verdicts(A, B))) == 1
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3])
+def test_negative_beta_is_rejected_at_every_scale(c):
+    cert = _check_sv(
+        c * np.diag([2.0, 1.0]), c * np.diag([1.0, -0.005]), c * np.array([1.0, 0.005]),
+        "not_local_min", "phase",
+    )
+    assert cert.descent_witness.param == 1
+
+
+def _assert_same_certificate(a, b):
+    assert a.verdict == b.verdict
+    for x, y in zip(vars(a).values(), vars(b).values()):
+        if isinstance(x, sv_orbit.JointSVD):
+            x, y = vars(x), vars(y)
+            assert all(np.array_equal(x[k], y[k]) for k in x)
+        elif x is None or hasattr(x, "kind"):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert (x.kind, x.param) == (y.kind, y.param)
+                assert np.array_equal(x.ts, y.ts) and np.array_equal(x.values, y.values)
+        else:
+            assert np.array_equal(x, y)
+
+
+def _seed_candidates(rng):
+    """(certifier, norm, pair) for haar, band, aligned and misaligned
+    candidates of both orbits; band candidates are inconclusive."""
+    out = []
+    for d, name in ((2, "frobenius"), (3, "schatten:3"), (4, "schatten:1.2")):
+        norm = parse_norm(name)
+        S = random_hermitian(d, rng)
+        mu = sort_desc(rng.standard_normal(d))
+        G_star = eig_orbit.global_minimizer(S, mu)
+        U = skew_exp(unit_skew(random_general(d, rng)), 1e-6)
+        S_mis, G_mis, _, _ = commuting_candidate(d, rng, aligned=False)
+        for pair in (
+            (S, eig_orbit.random_orbit_point(mu, rng)),
+            (S, U @ G_star @ U.conj().T),
+            (S, G_star),
+            (S_mis, G_mis),
+        ):
+            out.append((eig_orbit.certify_local, norm, pair))
+        A = random_general(d, rng)
+        s = sort_desc(rng.uniform(0.2, 3.0, d))
+        V, _, W = svd(A)
+        B_star = (V.conj().T * s[np.newaxis, :]) @ W
+        U1, U2 = (skew_exp(unit_skew(random_general(d, rng)), 1e-6) for _ in range(2))
+        for pair in (
+            (A, (haar_unitary(d, rng).conj().T * s[np.newaxis, :]) @ haar_unitary(d, rng)),
+            (A, U1 @ B_star @ U2),
+            (A, B_star),
+            (A, (V.conj().T * s[::-1][np.newaxis, :]) @ W),
+        ):
+            out.append((sv_orbit.certify_local, norm, pair))
+    return out
+
+
+def test_certify_ignores_its_seed():
+    """Every seed, and a passed Generator, gives the same certificate; the
+    Generator is not advanced."""
+    verdicts = set()
+    for certify, norm, (X, Y) in _seed_candidates(np.random.default_rng(19)):
+        ref = certify(norm, X, Y)
+        verdicts.add(ref.verdict)
+        for seed in (0, 1, 2**31 - 1):
+            _assert_same_certificate(certify(norm, X, Y, seed=seed), ref)
+        gen = np.random.default_rng(5)
+        state = gen.bit_generator.state
+        _assert_same_certificate(certify(norm, X, Y, seed=gen), ref)
+        assert gen.bit_generator.state == state
+    assert verdicts == {"certified_global", "not_local_min", "inconclusive"}
 
 
 NON_FINITE_TOL_CALLS = {

@@ -6,6 +6,7 @@ import pytest
 from lidskii import cli, jsonio
 from lidskii.cli import main
 from lidskii.frames import FrameSequence
+from lidskii.matrices import skew_exp
 
 
 @pytest.fixture
@@ -182,17 +183,20 @@ def test_certify_sv_exit_zero_on_global(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "certified_global"
 
 
-def test_inconclusive_exit_three(workdir, monkeypatch, capsys):
-    from lidskii import cli as cli_mod
-    from lidskii.sv_orbit import SvCertificate
-
-    def fake_certify(norm, A, B, tol=1e-8, seed=0):
-        return SvCertificate("inconclusive", (1.0, 1.0), None, None, 2.0)
-
-    monkeypatch.setattr(cli_mod.sv_orbit, "certify_local", fake_certify)
-    code = main(["certify-sv", "--A", workdir["A"], "--B", workdir["B_neg"]])
+def test_inconclusive_exit_three(workdir, capsys):
+    """A band pair: the minimizer diag(1.5, 0.5) moved by two-sided rotations
+    of size 1e-6, so the products fail the commuting test but neither flow
+    verifies a drop."""
+    K1 = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2)
+    K2 = np.array([[1j, 1], [-1, 0]], dtype=complex) / np.sqrt(3)
+    B = skew_exp(K1, 1e-6) @ np.diag([1.5, 0.5]) @ skew_exp(K2, 1e-6)
+    path = workdir["dir"] / "b_band.json"
+    path.write_text(json.dumps(jsonio.matrix_to_json(B)))
+    code = main(["certify-sv", "--A", workdir["A"], "--B", str(path)])
     assert code == 3
-    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "inconclusive"
+    assert report["descent_witness"] is None
 
 
 def test_invalid_tol_and_restarts_exit_one(workdir):
