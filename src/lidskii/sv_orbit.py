@@ -118,10 +118,10 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     """Simultaneous diagonalization of a pair with Hermitian products.
 
     Requires A^H B and A B^H Hermitian within ``tol * |A|_F |B|_F``, which
-    does not change when A or B is rescaled.  The Hermitian defect of each
-    block of B, times its singular value of A, is a block of the rotated
-    A^H B and is held to the same bound; the off-block mass of B is held to
-    ``tol * |B|_F``.  The
+    does not change when A or B is rescaled.  The off-block mass of B and
+    the Hermitian defect of each block of B over a nonzero singular value
+    of A are held to ``tol * |B|_F``, in B's own units, so a block that
+    barely registers in A^H B cannot be replaced by its Hermitian part.  The
     algorithm reduces A to a scalar block form via its SVD, checks that B is
     block diagonal with Hermitian blocks wherever the singular value of A is
     nonzero, diagonalizes those blocks, and takes an SVD of the block over
@@ -130,9 +130,8 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     tol = check_tol(tol)
     A, B = _pair(A, B)
     d = A.shape[0]
-    scale = frob(A) * frob(B)
     rA, rB = hermitian_residuals(A, B)
-    if max(rA, rB) > tol * scale:
+    if max(rA, rB) > tol * frob(A) * frob(B):
         raise ValueError(
             f"joint SVD requires Hermitian products: residuals ({rA:.3e}, {rB:.3e})"
         )
@@ -152,10 +151,9 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     beta = np.empty(d)
     for idx in clusters:
         blk = B1[np.ix_(idx, idx)]
-        a_c = float(np.max(alpha[idx]))
-        if a_c >= zero_cut:
-            herm_defect = a_c * frob(blk - blk.conj().T)
-            if herm_defect > tol * scale:
+        if float(np.max(alpha[idx])) >= zero_cut:
+            herm_defect = frob(blk - blk.conj().T)
+            if herm_defect > tol * frob(B):
                 raise ValueError(
                     f"non-Hermitian diagonal block (defect {herm_defect:.3e})"
                 )
@@ -241,9 +239,9 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     (else the problem reduces to the Hermitian orbit on the diagonal pair
     and a Givens curve drops it).  Non-Hermitian products get a two-sided
     gradient flow, or ``inconclusive`` when neither flow's drop verifies;
-    products that pass while ``joint_svd`` finds B off A's blocks also give
-    ``inconclusive``.  ``seed`` is accepted for compatibility; nothing reads
-    it.
+    products that pass while ``joint_svd`` finds B off A's blocks, or a
+    block of B non-Hermitian, also give ``inconclusive``.  ``seed`` is
+    accepted for compatibility; nothing reads it.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -260,8 +258,9 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     try:
         joint = joint_svd(A, B, tol=tol)
     except ValueError:
-        # the products pass, but B mixes singular blocks of A by more than
-        # tol |B|_F: there is no joint SVD to certify from
+        # the products pass, but B mixes singular blocks of A, or has a
+        # non-Hermitian block, by more than tol |B|_F: there is no joint SVD
+        # to certify from
         return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
     beta = joint.beta
     neg_tol = tol * float(np.max(np.abs(beta)))

@@ -152,7 +152,7 @@ def _sampled_curve(kind, point, value):
     return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point, value)
 
 
-def eig_witness_search(norm, S, G0, phi0):
+def eig_witness_flow(norm, S, G0, phi0):
     """The commutator flow, trimmed to its verified descent, or None."""
     drop_req = DROP_TOL * (1.0 + phi0)
 
@@ -173,7 +173,7 @@ def eig_witness_search(norm, S, G0, phi0):
     return trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
 
 
-def sv_witness_search(norm, A, B, psi0):
+def sv_witness_flow(norm, A, B, psi0):
     """The first of the two two-sided flows whose trimmed drop verifies, or
     None."""
     drop_req = DROP_TOL * (1.0 + psi0)

@@ -139,9 +139,16 @@ def test_zero_singular_value_of_A():
 PAIR_SCALES = ((1e-3, 1.0), (1.0, 1e-3), (1.0, 1.0), (1e3, 1.0), (1.0, 1e3))
 
 
-def _sv_verdicts(A, B):
-    """Verdicts of (c A, c' B) over ``PAIR_SCALES``; a ValueError fails."""
-    return [sv_orbit.certify_local(NORM, c * A, c2 * B).verdict for c, c2 in PAIR_SCALES]
+def _sv_verdicts(A, B, tol=1e-8):
+    """Verdicts of (c A, c' B) over ``PAIR_SCALES``; a ValueError fails, and
+    a ``certified_global`` joint SVD must describe B within ``tol * |B|_F``."""
+    verdicts = []
+    for c, c2 in PAIR_SCALES:
+        cert = sv_orbit.certify_local(NORM, c * A, c2 * B, tol=tol)
+        if cert.verdict == "certified_global":
+            assert cert.joint.residual_b <= tol * frob(c2 * B)
+        verdicts.append(cert.verdict)
+    return verdicts
 
 
 def test_joint_svd_tests_do_not_depend_on_scale():
@@ -155,6 +162,12 @@ def test_joint_svd_tests_do_not_depend_on_scale():
     ]
     for A, B in repro:
         assert _sv_verdicts(A, B) == ["certified_global"] * len(PAIR_SCALES)
+    # A's second singular value is tiny but above the zero cut, so the
+    # products test barely sees the non-Hermitian block 5i of B; replacing
+    # it by its Hermitian part would certify B although diag(5, 0.1) is
+    # closer to A on the orbit
+    A, B = np.diag([1.0, 2e-9]), np.diag([0.1, 5j])
+    assert _sv_verdicts(A, B) == ["inconclusive"] * len(PAIR_SCALES)
     rng = np.random.default_rng(77)
     for i in range(60):
         d = int(rng.integers(2, 6))

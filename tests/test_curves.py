@@ -91,7 +91,7 @@ def test_eig_search_matches_per_try_reference(seed):
     G = _rotated(eig_orbit.global_minimizer(S, mu), d, rng, 10.0 ** rng.uniform(-6.5, -4.0))
     G = (G + G.conj().T) / 2.0
     cert = eig_orbit.certify_local(norm, S, G)
-    ref = oracles.eig_witness_search(norm, S, G, cert.phi)
+    ref = oracles.eig_witness_flow(norm, S, G, cert.phi)
     assert cert.verdict == ("inconclusive" if ref is None else "not_local_min")
     _assert_same_witness(cert.descent_witness, ref)
 
@@ -105,6 +105,6 @@ def test_sv_search_matches_per_try_reference(seed):
     B = sv_orbit.global_minimizer(A, sort_desc(rng.uniform(0.2, 3.0, d)))
     B = skew_exp(unit_skew(random_general(d, rng)), 10.0 ** rng.uniform(-6.5, -4.0)) @ B
     cert = sv_orbit.certify_local(norm, A, B)
-    ref = oracles.sv_witness_search(norm, A, B, cert.psi)
+    ref = oracles.sv_witness_flow(norm, A, B, cert.psi)
     assert cert.verdict == ("inconclusive" if ref is None else "not_local_min")
     _assert_same_witness(cert.descent_witness, ref)
