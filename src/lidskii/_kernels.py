@@ -16,16 +16,25 @@ before it are the same.
 
 ``orbit_spectra`` and ``psd_spectra`` sample spectra over stacks of Haar and
 Wishart-like draws supplied as pre-generated ``(n, d, d)`` Gaussian batches.
-``orbit_spectra`` turns its batch into Haar unitaries with one stacked
-``matrices.haar_qr``, the phase-fixed QR that ``haar_unitary`` and the
-singular-value-orbit sampler also use.
+``orbit_spectra`` turns its batch into Haar unitaries with the phase-fixed
+QR of ``matrices.haar_qr``, which ``haar_unitary`` and the
+singular-value-orbit sampler also use.  ``_blockwise`` runs the work of the
+two orbit samplers (``orbit_spectra`` and
+``sv_orbit.sv_orbit_sample_values``) in blocks of ``SAMPLE_BLOCK`` samples
+on a pool of one thread per CPU: NumPy's stacked LAPACK calls release the
+GIL, and a stacked call gives each slice the bits it gives that slice
+alone, so the samples are bitwise those of one stack.  ``psd_spectra``
+stays one stack: its cost is ``eigvalsh``, which gains almost nothing from
+a second thread.
 """
 
+import collections
 import math
+import os
 
 import numpy as np
 
-from .matrices import conj_t, haar_qr
+from .matrices import _haar_qr, conj_t
 from .norms import evaluate, norm_gradient
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -284,16 +293,87 @@ def frame_descent(S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
     return G[0], traces[0], gnorms[0], status
 
 
+SAMPLE_BLOCK = 512  # samples per block of the orbit samplers
+
+# the samplers' thread pool, made on first use; a forked child inherits it
+# without its threads, so the child drops it and makes its own
+_pool = None
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blockwise(n, draw, work):
+    """Yield ``(block, work(*draw(block)))`` for the slices ``block`` that
+    split n samples into blocks of ``SAMPLE_BLOCK`` (the last holds the
+    rest), in block order.
+
+    ``draw`` runs on the calling thread, one block after the other, so a
+    Generator it reads gives the stream one loop over the blocks reads.
+    ``work`` runs on a pool of one thread per CPU, with at most workers + 1
+    blocks in flight; with one CPU it runs inline.  It may call NumPy and
+    private helpers only: the per-layer tracer wraps every public function
+    of the layer modules and keeps a single-threaded span stack.
+    """
+    global _pool
+    blocks = [slice(i, min(i + SAMPLE_BLOCK, n)) for i in range(0, n, SAMPLE_BLOCK)]
+    workers = _cpus()
+    if workers < 2:
+        for block in blocks:
+            yield block, work(*draw(block))
+        return
+    if _pool is None:
+        # two threads that get here at once each make a pool; the one that
+        # is dropped is collected, and its idle threads exit
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(workers)
+    pool = _pool
+    pending = collections.deque()
+    for block in blocks:
+        pending.append((block, pool.submit(work, *draw(block))))
+        if len(pending) > workers:
+            ready, future = pending.popleft()
+            yield ready, future.result()
+    for ready, future in pending:
+        yield ready, future.result()
+
+
 def orbit_spectra(S, dvals, gaussians):
     """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
-    Q_i = ``haar_qr`` of the i-th complex Gaussian matrix."""
+    Q_i = ``haar_qr`` of the i-th complex Gaussian matrix.
+
+    The stack is worked in blocks by ``_blockwise``: each block's QR,
+    product and ``eigvalsh`` run on a pool thread, and the rows are bitwise
+    those of one stacked call.
+    """
     S = np.ascontiguousarray(S, dtype=np.complex128)
     dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
     gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
-    Q = haar_qr(gaussians)
-    M = S[np.newaxis] - Q @ (dvals[:, np.newaxis] * conj_t(Q))
-    w = np.linalg.eigvalsh(M)
-    return w[..., ::-1].copy()
+
+    def work(Z):
+        Q = _haar_qr(Z)
+        QH = np.conj(np.swapaxes(Q, -1, -2))  # conj_t, which is public: see _blockwise
+        return np.linalg.eigvalsh(S[np.newaxis] - Q @ (dvals[:, np.newaxis] * QH))
+
+    out = np.empty(gaussians.shape[:2])
+    for block, w in _blockwise(len(gaussians), lambda block: (gaussians[block],), work):
+        out[block] = w[..., ::-1]
+    return out
 
 
 def psd_spectra(S, t, gaussians):

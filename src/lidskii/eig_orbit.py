@@ -246,7 +246,12 @@ def random_orbit_point(mu, seed) -> np.ndarray:
 
 
 def orbit_sample_values(norm: NormSpec, S, mu, n: int, seed) -> np.ndarray:
-    """Objective values norm(S - G) over n Haar samples G of the orbit."""
+    """Objective values norm(S - G) over n Haar samples G of the orbit.
+
+    All n Gaussians are drawn as one ``(n, d, d)`` batch on the calling
+    thread; ``_kernels.orbit_spectra`` works the batch in blocks on its
+    thread pool and returns the spectra of one stacked call, bit for bit.
+    """
     S = as_hermitian(S)
     d = S.shape[0]
     mu = _spectrum(mu, d)

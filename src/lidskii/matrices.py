@@ -171,6 +171,12 @@ def haar_qr(Z) -> np.ndarray:
 
     The stacked QR gives every slice the bits the 2-d call gives it.
     """
+    return _haar_qr(Z)
+
+
+def _haar_qr(Z):
+    # the body of ``haar_qr``, private so that the samplers' pool threads
+    # call no public function
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eig_orbit
+from ._kernels import _blockwise
 from .curves import (
     DROP_TOL,
     DescentCurve,
@@ -26,12 +27,12 @@ from .curves import (
 from .majorization import sort_desc
 from .matrices import (
     GAP_TOL,
+    _haar_qr,
     as_rng,
     check_tol,
     cluster_desc,
     conj_t,
     frob,
-    haar_qr,
     require_square,
     skew_exp,
     svd,
@@ -41,7 +42,6 @@ from .norms import NormSpec, distance_from, evaluate, gauge, norm_gradient
 
 ZERO_SV_REL = 1e-9
 ZERO_SV_ABS = 1e-12
-SAMPLE_BLOCK = 512  # Haar samples per stacked block
 
 
 @dataclass
@@ -305,30 +305,34 @@ def equality_case(A, B, tol: float = 1e-7) -> bool:
 def sv_orbit_sample_values(norm: NormSpec, A, s, n: int, seed) -> np.ndarray:
     """Objective values over n Haar samples X^H D_s Y of the orbit.
 
-    The samples are taken in blocks of 512 (``SAMPLE_BLOCK``; the last block
-    holds the rest), which bounds the memory.  A block of m samples draws
-    the Gaussians of all its X's with one ``standard_normal((m, 2, d, d))``
-    (real, then imaginary part of each sample), then those of its Y's the
-    same way, and turns each draw into unitaries with one stacked
-    ``haar_qr``.  That is the stream one ``haar_unitary(d, rng)`` per sample
-    reads, the block's X's before its Y's, so the values and the state left
-    in a shared Generator are those of the per-sample loop.
+    The samples are taken in blocks of 512 (``_kernels.SAMPLE_BLOCK``; the
+    last block holds the rest), which bounds the memory.  A block of m
+    samples draws the Gaussians of all its X's with one
+    ``standard_normal((m, 2, d, d))`` (real, then imaginary part of each
+    sample), then those of its Y's the same way, all on the calling thread.
+    That is the stream one ``haar_unitary(d, rng)`` per sample reads, the
+    block's X's before its Y's.  A pool thread (``_kernels._blockwise``)
+    turns each draw into unitaries with the stacked QR of ``haar_qr`` and
+    takes the singular values of A - X^H D_s Y; the gauge runs on the
+    calling thread, once per block.  The values and the state left in a
+    shared Generator are those of the per-sample loop.
     """
     A = require_square(A)
     d = A.shape[0]
     s = _target(s, d)
     rng = as_rng(seed)
 
-    def haar_block(m):
-        g = rng.standard_normal((m, 2, d, d))
-        return haar_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    def draw(block):
+        m = block.stop - block.start
+        return rng.standard_normal((m, 2, d, d)), rng.standard_normal((m, 2, d, d))
+
+    def work(gx, gy):
+        Xs, Ys = (_haar_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)) for g in (gx, gy))
+        # conj_t(Xs) written out: a pool thread calls no public function
+        Bs = np.conj(np.swapaxes(Xs, -1, -2)) @ (s[:, np.newaxis] * Ys)
+        return np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
 
     vals = np.empty(n)
-    for i in range(0, n, SAMPLE_BLOCK):
-        m = min(SAMPLE_BLOCK, n - i)
-        Xs = haar_block(m)
-        Ys = haar_block(m)
-        Bs = conj_t(Xs) @ (s[:, np.newaxis] * Ys)
-        sv = np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
-        vals[i : i + m] = np.asarray(gauge(norm, sv))
+    for block, sv in _blockwise(n, draw, work):
+        vals[block] = np.asarray(gauge(norm, sv))
     return vals

@@ -7,8 +7,9 @@ basis matrices), water filling is solved by bisection (the library
 solves the piecewise-linear equation in closed form), the orbit
 certifiers' gradient flows are sampled one curve point at a time (the
 library samples a whole curve as one stack), the spectrum samplers run one
-sample at a time, the singular-value-orbit sampler draws one Haar unitary
-at a time, and the frame descents run one restart at a time on 2-d arrays
+sample at a time, the eigenvalue-orbit sampler runs as one stack (the
+library works it in blocks on a thread pool), the singular-value-orbit
+sampler draws one Haar unitary at a time, and the frame descents run one restart at a time on 2-d arrays
 (the library descends a stack of restarts in lockstep).
 """
 
@@ -17,9 +18,19 @@ import math
 import numpy as np
 
 from lidskii.curves import DROP_TOL, DescentCurve, log_grid, trim_to_descent
+from lidskii.eig_orbit import _spectrum
 from lidskii.majorization import sort_desc
-from lidskii.matrices import as_rng, frob, haar_unitary, require_square, skew_exp
-from lidskii.norms import evaluate, gauge, norm_gradient
+from lidskii.matrices import (
+    as_hermitian,
+    as_rng,
+    conj_t,
+    frob,
+    haar_qr,
+    haar_unitary,
+    require_square,
+    skew_exp,
+)
+from lidskii.norms import evaluate, gauge, gauge_from_eigs, norm_gradient
 
 
 def commutation_matrix(d: int) -> np.ndarray:
@@ -216,6 +227,32 @@ def orbit_spectra_loop(S, dvals, gaussians):
                 Q[:, j] *= r / abs(r)
         out[i] = np.linalg.eigvalsh(S - Q @ D @ Q.conj().T)[::-1]
     return out
+
+
+def orbit_spectra_stack(S, dvals, gaussians):
+    """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
+    Q_i = ``haar_qr`` of the i-th complex Gaussian matrix, as one stack."""
+    S = np.ascontiguousarray(S, dtype=np.complex128)
+    dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
+    gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
+    Q = haar_qr(gaussians)
+    M = S[np.newaxis] - Q @ (dvals[:, np.newaxis] * conj_t(Q))
+    w = np.linalg.eigvalsh(M)
+    return w[..., ::-1].copy()
+
+
+def orbit_sample_values_stack(norm, S, mu, n, seed):
+    """Objective values norm(S - G) over n Haar samples G of the orbit,
+    all n Gaussians drawn and worked as one stack."""
+    S = as_hermitian(S)
+    d = S.shape[0]
+    mu = _spectrum(mu, d)
+    rng = as_rng(seed)
+    gaussians = (
+        rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    ) / np.sqrt(2.0)
+    spectra = orbit_spectra_stack(S, mu.astype(np.complex128), gaussians)
+    return np.asarray(gauge_from_eigs(norm, spectra))
 
 
 def sv_orbit_sample_values_loop(norm, A, s, n, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import orbit_sample_values_stack
 from lidskii import eig_orbit
 from lidskii.majorization import majorizes, sort_desc
 from lidskii.matrices import eigvalsh_desc, haar_unitary, random_hermitian
@@ -163,6 +164,32 @@ def test_orbit_sample_values_matches_direct_evaluation():
     Gop = eig_orbit.global_minimizer(S, mu)
     assert np.min(vals) >= eig_orbit.orbit_distance(frobenius(), S, Gop) - 1e-8
     assert vals.shape == (64,)
+
+
+# around the 512-sample block: none, one, a block less one, a block, and
+# a block plus one, then three blocks
+SAMPLER_COUNTS = (0, 1, 511, 512, 513, 1500)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_orbit_sampler_matches_one_stack_bitwise(d):
+    rng = np.random.default_rng(60 + d)
+    S = random_hermitian(d, rng)
+    mu = rng.standard_normal(d)  # unsorted: both sort it
+    for norm in (frobenius(), schatten(3)):
+        for n in SAMPLER_COUNTS:
+            seed = int(rng.integers(0, 2**31))
+            vals = eig_orbit.orbit_sample_values(norm, S, mu, n, seed)
+            assert vals.shape == (n,)
+            assert np.array_equal(vals, orbit_sample_values_stack(norm, S, mu, n, seed))
+            # a shared Generator yields the same values and is left in the
+            # same state
+            g, g_stack = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                eig_orbit.orbit_sample_values(norm, S, mu, n, g),
+                orbit_sample_values_stack(norm, S, mu, n, g_stack),
+            )
+            assert g.standard_normal() == g_stack.standard_normal()
 
 
 def test_orbit_sampler_rejects_length_mismatch():

@@ -1,12 +1,25 @@
 """The stacked kernels against their one-at-a-time references: the spectrum
 samplers against per-sample loops, and the lockstep descent against the
-same restarts descended alone, as a batch of one and as the serial loop."""
+same restarts descended alone, as a batch of one and as the serial loop.
+The orbit samplers' thread pool: layer functions stay on the calling
+thread, the worker count does not change a bit, and a forked child
+samples."""
+
+import functools
+import importlib
+import inspect
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import frame_descent_serial, norm_descent_serial, orbit_spectra_loop, psd_spectra_loop
-from lidskii import _kernels
+import lidskii
+from lidskii import _kernels, eig_orbit, sv_orbit
 from lidskii.backend import backend_name
 from lidskii.frames import frame_operator, random_frame
 from lidskii.matrices import haar_unitary, random_hermitian
@@ -43,6 +56,101 @@ def test_psd_spectra_paths_agree():
     assert np.allclose(stacked, psd_spectra_loop(S, 2.0, gs), atol=1e-12)
     # sampled matrices are PSD trace-t differences: rows non-increasing
     assert np.all(np.diff(stacked, axis=-1) <= 1e-12)
+
+
+# the layer modules whose public functions the per-layer tracer wraps
+LAYERS = (
+    "cli", "jsonio", "eig_orbit", "sv_orbit", "frames",
+    "_kernels", "curves", "norms", "matrices", "backend",
+)
+
+
+def _sampler_runs():
+    """Both orbit samplers over two full blocks and a short one."""
+    rng = np.random.default_rng(5)
+    S = random_hermitian(4, rng)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    n = 2 * _kernels.SAMPLE_BLOCK + 7
+    return (
+        eig_orbit.orbit_sample_values(schatten(3), S, rng.standard_normal(4), n, 1),
+        sv_orbit.sv_orbit_sample_values(schatten(3), A, rng.uniform(0.0, 2.0, 4), n, 2),
+    )
+
+
+def _record_threads(monkeypatch):
+    """Wrap every public function of the layer modules, as the tracer does,
+    wherever a ``lidskii`` module holds it; each call appends its name and
+    whether it ran on the main thread."""
+    calls = []
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    wrappers = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"lidskii.{layer}")
+        for attr, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not attr.startswith("_"):
+                wrappers[obj] = recording(f"{layer}.{attr}", obj)
+    for name, module in list(sys.modules.items()):
+        if name == "lidskii" or name.startswith("lidskii."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+    return calls
+
+
+def test_sampler_pool_runs_no_layer_function(monkeypatch):
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)  # a pool even on one CPU
+    calls = _record_threads(monkeypatch)
+    _sampler_runs()
+    names = {name for name, _ in calls}
+    assert {
+        "eig_orbit.orbit_sample_values", "_kernels.orbit_spectra",
+        "sv_orbit.sv_orbit_sample_values", "norms.gauge",
+    } <= names
+    assert sorted({name for name, on_main in calls if not on_main}) == []
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_samplers_do_not_depend_on_worker_count(monkeypatch, workers):
+    pooled = _sampler_runs()
+    monkeypatch.setattr(_kernels, "_cpus", lambda: workers)
+    for vals, alone in zip(pooled, _sampler_runs()):
+        assert np.array_equal(vals, alone)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+def test_samplers_run_in_a_forked_child(monkeypatch):
+    # the parent's pool exists before the fork; the child inherits it
+    # without its threads
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    expected = _sampler_runs()
+
+    def child():
+        for vals, again in zip(expected, _sampler_runs()):
+            assert np.array_equal(vals, again)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+
+
+def test_cli_import_leaves_the_pool_module_unloaded():
+    src = os.path.dirname(os.path.dirname(lidskii.__file__))
+    code = "import sys, lidskii.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _objectives():
