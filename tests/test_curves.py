@@ -79,7 +79,7 @@ def _rotated(M, d, rng, eps):
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_eig_flow_matches_per_sample_reference(seed):
+def test_eig_search_matches_per_try_reference(seed):
     """Band candidates: the minimizer moved by exp(eps K), d = 2..6 and the
     three certify norms; most end inconclusive when the flow's drop does not
     verify."""
@@ -97,7 +97,7 @@ def test_eig_flow_matches_per_sample_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_sv_flow_matches_per_sample_reference(seed):
+def test_sv_search_matches_per_try_reference(seed):
     rng = np.random.default_rng([seed, 3])
     d = 2 + seed % 5
     norm = parse_norm(CERTIFY_NORMS[seed % 3])
