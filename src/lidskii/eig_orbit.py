@@ -25,7 +25,6 @@ from .curves import (
 )
 from .majorization import sort_desc
 from .matrices import (
-    GAP_TOL,
     as_hermitian,
     as_rng,
     check_tol,
@@ -35,6 +34,7 @@ from .matrices import (
     conj_t,
     eigh,
     frob,
+    gap_threshold,
     haar_unitary,
     skew_exp,
 )
@@ -62,14 +62,6 @@ def orbit_distance(norm: NormSpec, S, G) -> float:
     """norm(S - G), the objective on the orbit."""
     S, G = _pair(S, G)
     return evaluate(norm, S - G)
-
-
-def rotated_distance(norm: NormSpec, S, G0, U, V) -> float:
-    """norm(U^H S U - V^H G0 V); its argument always has trace tr S - tr G0."""
-    S, G0 = _pair(S, G0)
-    U = check_unitary(U)
-    V = check_unitary(V)
-    return evaluate(norm, U.conj().T @ S @ U - V.conj().T @ G0 @ V)
 
 
 def _spectrum(mu, d):
@@ -125,8 +117,7 @@ def _first_inversion(lam, nu):
     """Smallest j with nu[j] < nu[j+1] across a strict gap of lam, or None."""
     lam = np.asarray(lam, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    lam_thresh = GAP_TOL * (1.0 + abs(float(lam[0] - lam[-1])))
-    nu_thresh = GAP_TOL * (1.0 + float(np.max(nu) - np.min(nu)))
+    lam_thresh, nu_thresh = gap_threshold(lam), gap_threshold(nu)
     for j in range(nu.size - 1):
         if nu[j + 1] - nu[j] > nu_thresh and lam[j] - lam[j + 1] > lam_thresh:
             return j
@@ -151,8 +142,7 @@ def givens_descent_curve(norm: NormSpec, S, G0, j: int, joint_basis=None) -> Des
         V = check_unitary(joint_basis)
         lam = np.real(np.diag(V.conj().T @ S @ V))
         nu = np.real(np.diag(V.conj().T @ G0 @ V))
-    lam_thresh = GAP_TOL * (1.0 + abs(float(lam.max() - lam.min())))
-    if lam[j] - lam[j + 1] <= lam_thresh:
+    if lam[j] - lam[j + 1] <= gap_threshold(lam):
         raise ValueError(
             "degenerate S eigenvalues at the pivot: transpose the basis vectors instead"
         )

@@ -20,7 +20,6 @@ from . import _kernels
 from .curves import DROP_TOL, build_curve, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
-    GAP_TOL,
     NULLSPACE_TOL,
     as_hermitian,
     as_rng,
@@ -31,6 +30,7 @@ from .matrices import (
     eigh,
     eigvalsh_desc,
     frob,
+    gap_threshold,
 )
 from .norms import NormSpec, evaluate, frobenius
 
@@ -134,7 +134,7 @@ def water_fill(lam, t: float):
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("empty spectrum")
-    if np.any(lam < -1e-12 * (1.0 + np.max(np.abs(lam)))):
+    if np.any(lam < -1e-12 * np.max(np.abs(lam))):
         raise ValueError("water filling requires a non-negative spectrum")
     if not 0 < t < np.inf:
         raise ValueError(f"total mass must be positive and finite, got {t}")
@@ -161,7 +161,7 @@ def psd_lower_bound(norm: NormSpec, S, t: float):
     """
     S = as_hermitian(S)
     lam, V = eigh(S)
-    if lam[-1] < -1e-10 * (1.0 + abs(lam[0])):
+    if lam[-1] < -1e-10 * abs(lam[0]):
         raise ValueError("target must be positive semidefinite")
     c, spec = water_fill(np.maximum(lam, 0.0), t)
     Aop = (V * spec[np.newaxis, :]) @ V.conj().T
@@ -202,11 +202,12 @@ class FodStructureReport:
     witness: str | None
 
 
-def _fitted_clusters(fitted, vectors):
-    """Cluster fitted eigenvalues (ascending) and rank each cluster's span."""
+def _fitted_clusters(fitted, vectors, *scale):
+    """Fitted-eigenvalue clusters, ascending, at the gap threshold of ``scale``,
+    with the rank of each cluster's span."""
     order = np.argsort(fitted)[::-1]
     groups_desc = []
-    for idx in cluster_desc(fitted[order]):
+    for idx in cluster_desc(fitted[order], *scale):
         groups_desc.append(order[idx])
     clusters = []
     for members in reversed(groups_desc):
@@ -221,11 +222,13 @@ def _fitted_clusters(fitted, vectors):
 def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> FodStructureReport:
     """Evaluate the structural conditions a local minimizer must satisfy.
 
-    Checks, in order: each vector is an eigenvector of S - S_G within tol
-    (relative residual), S and S_G commute, the spectrum of S - S_G equals
+    Checks, in order: each vector is an eigenvector of S - S_G, S and S_G
+    commute (within ``tol * |S|_F |S_G|_F``), the spectrum of S - S_G equals
     the sorted difference of spectra, and every fitted-eigenvalue cluster
-    that sits below some other eigenvalue of S - S_G is linearly
-    independent.  The verdict carries the first failed condition.
+    below some other eigenvalue of S - S_G is linearly independent.  The
+    residuals are held to ``tol * (|S|_F + |S_G|_F)``, the gaps to the
+    ``gap_threshold`` of the spectra of S and S_G.  The verdict, the same for
+    a rescaled or rotated input, carries the first failed condition.
     """
     if not norm.strictly_convex:
         raise ValueError("structure conditions apply to strictly convex norms")
@@ -239,23 +242,22 @@ def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> 
     fitted, resid = fitted_eigenvalues(S, G0)
     commute_residual = frob(commutator(S, S0))
     lamE = eigvalsh_desc(E)
-    lam_diff = sort_desc(eigvalsh_desc(S) - eigvalsh_desc(S0))
-    scale = 1.0 + frob(S) + frob(S0)
-    aligned = bool(np.max(np.abs(lamE - lam_diff)) <= tol * scale)
-    sigma = lamE
-    gap = GAP_TOL * (1.0 + abs(float(sigma[0] - sigma[-1])))
+    lamS, lamS0 = eigvalsh_desc(S), eigvalsh_desc(S0)
+    scale = frob(S) + frob(S0)
+    aligned = bool(np.max(np.abs(lamE - sort_desc(lamS - lamS0))) <= tol * scale)
+    gap = gap_threshold(lamS, lamS0)
     clusters = []
-    for value, members, rank in _fitted_clusters(fitted, G0.vectors):
-        required = bool(np.any(sigma > value + gap))
+    for value, members, rank in _fitted_clusters(fitted, G0.vectors, lamS, lamS0):
+        required = bool(np.any(lamE > value + gap))
         clusters.append(
             ClusterInfo(value, members, rank, required, rank == members.size)
         )
     verdict, witness = "consistent_with_local_min", None
     worst = int(np.argmax(resid))
-    if resid[worst] > tol:
+    if resid[worst] > tol * scale:
         verdict = "violates_structure"
         witness = f"eigenvector_residual(j={worst}, residual={resid[worst]:.3e})"
-    elif commute_residual > tol * scale:
+    elif commute_residual > tol * frob(S) * frob(S0):
         verdict = "violates_structure"
         witness = f"commutator(residual={commute_residual:.3e})"
     elif not aligned:
@@ -279,7 +281,8 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     local minimizer must have spectrum ((lam_i(S) - c1)^+): then the
     configuration meets the PSD relaxation bound and is globally optimal.
     Returns "certified_global", "not_applicable" (no common eigenvalue), or
-    "violates" (common eigenvalue but wrong spectrum).
+    "violates" (common eigenvalue but wrong spectrum).  Residuals are held
+    to ``tol * (|S|_F + |S_G|_F)``, as in ``structure_check``.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -289,7 +292,7 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     G0.validate()
     S = as_hermitian(S)
     lamS = eigvalsh_desc(S)
-    if lamS[-1] < -tol * (1.0 + abs(lamS[0])):
+    if lamS[-1] < -tol * abs(lamS[0]):
         raise ValueError("target must be positive semidefinite")
     S0 = frame_operator(G0)
     E = S - S0
@@ -298,11 +301,11 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     resid = np.linalg.norm(E @ V - c1 * V, axis=0) / np.sqrt(
         np.sum(np.abs(V) ** 2, axis=0)
     )
-    if np.max(resid) > tol * (1.0 + frob(E)):
+    scale = frob(S) + frob(S0)
+    if np.max(resid) > tol * scale:
         return "not_applicable"
     expected = sort_desc(np.maximum(lamS - c1, 0.0))
-    lamS0 = eigvalsh_desc(S0)
-    if np.max(np.abs(lamS0 - expected)) > tol * (1.0 + frob(S)):
+    if np.max(np.abs(eigvalsh_desc(S0) - expected)) > tol * scale:
         return "violates"
     return "certified_global"
 
@@ -446,15 +449,15 @@ def escape_move(S, G0: FrameSequence, cluster_index: int):
     S0 = frame_operator(G0)
     E = S - S0
     fitted, _resid = fitted_eigenvalues(S, G0)
-    clusters = _fitted_clusters(fitted, G0.vectors)
+    lamS, lamS0 = eigvalsh_desc(S), eigvalsh_desc(S0)
+    clusters = _fitted_clusters(fitted, G0.vectors, lamS, lamS0)
     if not 0 <= cluster_index < len(clusters):
         raise ValueError(f"cluster index {cluster_index} out of range")
     c_val, members, rank = clusters[cluster_index]
     if rank >= members.size:
         return None
     lamE, VE = eigh(E)
-    gap = GAP_TOL * (1.0 + abs(float(lamE[0] - lamE[-1])))
-    above = np.where(lamE > c_val + gap)[0]
+    above = np.where(lamE > c_val + gap_threshold(lamS, lamS0))[0]
     if above.size == 0:
         return None
     target = above[0]  # largest eigenvalue strictly above the cluster

@@ -234,18 +234,24 @@ def unit_skew(Z) -> np.ndarray:
     return K / np.sqrt(sq)
 
 
-def cluster_desc(values, gap_tol: float = GAP_TOL):
+def gap_threshold(*spectra) -> float:
+    """``GAP_TOL`` times the largest |value| of the (non-empty) spectra, with
+    no absolute floor: two of their values at most this far apart are one."""
+    return GAP_TOL * max(float(np.abs(v).max()) for v in spectra)
+
+
+def cluster_desc(values, *scale):
     """Group a non-increasing real vector into near-degenerate clusters.
 
-    Consecutive entries closer than ``gap_tol * (1 + spread)`` fall in one
-    cluster (single linkage).  Returns a list of index arrays.
+    Consecutive entries at most ``gap_threshold(values, *scale)`` apart fall
+    in one cluster (single linkage); ``scale`` holds further spectra of the
+    operands.  Returns a list of index arrays.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if n == 0:
         return []
-    spread = float(v[0] - v[-1])
-    thresh = gap_tol * (1.0 + abs(spread))
+    thresh = gap_threshold(v, *scale)
     groups = []
     start = 0
     for i in range(1, n):

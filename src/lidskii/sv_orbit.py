@@ -26,7 +26,6 @@ from .curves import (
 )
 from .majorization import sort_desc
 from .matrices import (
-    GAP_TOL,
     _haar_qr,
     as_rng,
     check_tol,
@@ -41,7 +40,6 @@ from .matrices import (
 from .norms import NormSpec, distance_from, evaluate, gauge, norm_gradient
 
 ZERO_SV_REL = 1e-9
-ZERO_SV_ABS = 1e-12
 
 
 @dataclass
@@ -114,7 +112,7 @@ def hermitian_residuals(A, B):
     return frob(P - P.conj().T), frob(Q - Q.conj().T)
 
 
-def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
+def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
     """Simultaneous diagonalization of a pair with Hermitian products.
 
     Requires A^H B and A B^H Hermitian within ``tol * |A|_F |B|_F``, which
@@ -125,7 +123,8 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     algorithm reduces A to a scalar block form via its SVD, checks that B is
     block diagonal with Hermitian blocks wherever the singular value of A is
     nonzero, diagonalizes those blocks, and takes an SVD of the block over
-    the kernel of A.
+    the kernel of A.  The blocks are the ``cluster_desc`` groups of s(A),
+    the kernel at most ``ZERO_SV_REL * s_1(A)`` (all of it when A = 0).
     """
     tol = check_tol(tol)
     A, B = _pair(A, B)
@@ -137,8 +136,7 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
         )
     V0, alpha, U0 = svd(A)
     B1 = V0 @ B @ U0.conj().T
-    zero_cut = max(ZERO_SV_REL * float(alpha[0]), ZERO_SV_ABS)
-    clusters = cluster_desc(alpha, gap_tol)
+    clusters = cluster_desc(alpha)
     # off-block mass signals numerical inconsistency with the hypothesis
     mask = np.zeros((d, d), dtype=bool)
     for idx in clusters:
@@ -151,7 +149,7 @@ def joint_svd(A, B, tol: float = 1e-8, gap_tol: float = GAP_TOL) -> JointSVD:
     beta = np.empty(d)
     for idx in clusters:
         blk = B1[np.ix_(idx, idx)]
-        if float(np.max(alpha[idx])) >= zero_cut:
+        if float(np.max(alpha[idx])) > ZERO_SV_REL * alpha[0]:
             herm_defect = frob(blk - blk.conj().T)
             if herm_defect > tol * frob(B):
                 raise ValueError(
@@ -292,14 +290,15 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
 def equality_case(A, B, tol: float = 1e-7) -> bool:
     """Equality in the additive singular-value inequality.
 
-    True iff sorted |s(A) - s(B)| equals s(A - B) within tol, which holds
-    exactly when A and B admit a joint SVD.
+    True iff sorted |s(A) - s(B)| equals s(A - B) within
+    ``tol * max(s_1(A), s_1(B))``, which holds exactly when A and B admit a
+    joint SVD.
     """
     A, B = _pair(A, B)
-    lhs = sort_desc(np.abs(svdvals(A) - svdvals(B)))
+    sa, sb = svdvals(A), svdvals(B)
+    lhs = sort_desc(np.abs(sa - sb))
     rhs = svdvals(A - B)
-    scale = 1.0 + float(rhs[0]) if rhs.size else 1.0
-    return bool(np.max(np.abs(lhs - rhs)) <= tol * scale)
+    return bool(np.max(np.abs(lhs - rhs)) <= tol * max(sa[0], sb[0]))
 
 
 def sv_orbit_sample_values(norm: NormSpec, A, s, n: int, seed) -> np.ndarray:

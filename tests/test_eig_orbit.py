@@ -4,7 +4,7 @@ import pytest
 from oracles import orbit_sample_values_stack
 from lidskii import eig_orbit
 from lidskii.majorization import majorizes, sort_desc
-from lidskii.matrices import eigvalsh_desc, haar_unitary, random_hermitian
+from lidskii.matrices import eigvalsh_desc, random_hermitian
 from lidskii.norms import evaluate, frobenius, schatten, spectral
 
 
@@ -42,22 +42,6 @@ def test_global_minimizer_difference_spectrum():
         assert np.allclose(eigvalsh_desc(Gop), mu, atol=1e-10)
         expected = sort_desc(eigvalsh_desc(S) - mu)
         assert np.allclose(eigvalsh_desc(S - Gop), expected, atol=1e-9)
-
-
-def test_rotated_distance_identity_and_bound():
-    S, G0 = np.diag([3.0, 1.0]), np.diag([2.0, 0.0])
-    n = frobenius()
-    assert eig_orbit.rotated_distance(n, S, G0, np.eye(2), np.eye(2)) == pytest.approx(
-        eig_orbit.orbit_distance(n, S, G0)
-    )
-    best = evaluate(n, np.diag([1.0, 1.0]))
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        U, V = haar_unitary(2, rng), haar_unitary(2, rng)
-        assert eig_orbit.rotated_distance(n, S, G0, U, V) >= best - 1e-10
-        # trace of the rotated difference is conserved
-        gamma = U.conj().T @ S @ U - V.conj().T @ G0 @ V
-        assert abs(np.trace(gamma) - 2.0) < 1e-10
 
 
 def test_certify_aligned_diagonal():

@@ -147,10 +147,16 @@ def test_samplers_run_in_a_forked_child(monkeypatch):
 
 
 def test_cli_import_leaves_the_pool_module_unloaded():
+    """Neither the pool nor the property suites load with the CLI: only the
+    samplers start the pool, and only ``property-suite`` needs the suites."""
     src = os.path.dirname(os.path.dirname(lidskii.__file__))
-    code = "import sys, lidskii.cli; sys.exit('concurrent.futures' in sys.modules)"
+    code = (
+        "import sys, lidskii.cli; "
+        "print(sorted({'concurrent.futures', 'lidskii.properties'} & set(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 
 
 def _objectives():

@@ -177,10 +177,15 @@ def test_skew_exp_rejects_bad_stacks():
 
 
 def test_cluster_desc_groups_near_degenerate():
-    groups = cluster_desc(np.array([3.0 + 1e-9, 3.0, 1.0]), gap_tol=1e-7)
+    groups = cluster_desc(np.array([3.0 + 1e-9, 3.0, 1.0]))
     assert [list(g) for g in groups] == [[0, 1], [2]]
     groups = cluster_desc(np.array([5.0, 3.0, 1.0]))
     assert len(groups) == 3
+    # the threshold scales with the values: a rescaled vector groups the same
+    for c in (1e-9, 1e9):
+        groups = cluster_desc(c * np.array([3.0 + 1e-9, 3.0, 1.0]))
+        assert [list(g) for g in groups] == [[0, 1], [2]]
+        assert len(cluster_desc(c * np.array([5.0, 3.0, 1.0]))) == 3
 
 
 def test_commutant_examples():

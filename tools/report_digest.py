@@ -1,0 +1,84 @@
+"""Digest the deterministic report bytes of a lidskii checkout.
+
+    python3 tools/report_digest.py <checkout>
+
+Prints one sha256 per output:
+
+* ``certify seed=<s>``: the reports and exit codes of the benchmark's certify
+  operations at seeds 0, 1 and 2 (30 instances, 360 CLI calls each), with
+  the count of each exit code;
+* ``frame_opt``: the reports of the 16 fod-optimize operations;
+* ``property-suite <scale> seed=<s>``: the suite JSON at small seeds 0 and 1
+  and at medium seed 0.
+
+The checkout's ``perfbench/workloads.py`` builds the operations and its
+``src/`` supplies lidskii; nothing in the checkout is written, every input
+and report goes to a temporary directory.  Two checkouts that print the same
+lines produce the same bytes on these outputs.
+"""
+
+import argparse
+import collections
+import hashlib
+import os
+import sys
+import tempfile
+
+CERTIFY_SEEDS = (0, 1, 2)
+CERTIFY_INSTANCES = 30  # the benchmark's certify pool
+SUITES = (("small", 0), ("small", 1), ("medium", 0))
+
+
+def _run_ops(ops, workdir):
+    """Run each operation; returns the sha256 of its exit codes and reports,
+    and the count of each exit code."""
+    digest = hashlib.sha256()
+    codes = collections.Counter()
+    out = os.path.join(workdir, "out.json")
+    for op in ops:
+        code = op.run()
+        codes[code] += 1
+        with open(out, "rb") as fh:
+            report = fh.read()
+        digest.update(f"{op.kind} {code}\n".encode())
+        digest.update(report)
+    return digest.hexdigest(), dict(sorted(codes.items()))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout", help="root of a lidskii checkout")
+    root = os.path.abspath(ap.parse_args(argv).checkout)
+    src = os.path.join(root, "src")
+    sys.path[:0] = [src, os.path.join(root, "perfbench")]
+
+    import lidskii
+    from lidskii import cli
+
+    import workloads
+
+    if not os.path.abspath(lidskii.__file__).startswith(src + os.sep):
+        sys.exit(f"lidskii imported from {lidskii.__file__}, not from {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in CERTIFY_SEEDS:
+            work = os.path.join(tmp, f"certify-{seed}")
+            sha, codes = _run_ops(workloads.certify_ops(seed, work, CERTIFY_INSTANCES), work)
+            print(f"certify seed={seed} {sha} exits={codes}")
+        work = os.path.join(tmp, "frame_opt")
+        sha, codes = _run_ops(
+            workloads.frame_opt_ops(0, work, workloads.FRAME_CORPUS_SIZE), work
+        )
+        print(f"frame_opt {sha} exits={codes}")
+        out = os.path.join(tmp, "suite.json")
+        for scale, seed in SUITES:
+            code = cli.main(
+                ["property-suite", "--seed", str(seed), "--scale", scale, "--out", out]
+            )
+            with open(out, "rb") as fh:
+                sha = hashlib.sha256(fh.read()).hexdigest()
+            print(f"property-suite {scale} seed={seed} {sha} exit={code}")
+
+
+if __name__ == "__main__":
+    main()
