@@ -2,8 +2,12 @@
 
 A curve starts at the candidate point (t = 0) and stays on the constraint
 set (a unitary orbit, a singular-value orbit, or a product of spheres).
-Emitted witnesses are trimmed to a prefix whose sampled objective values
-decrease monotonically (within a tiny slack) so the drop is verifiable.
+Every emitted witness passes one gate, ``trim_to_descent``: it keeps the
+curve's prefix whose sampled objective values decrease monotonically and
+accepts it only when that prefix drops the objective by more than
+``DROP_TOL |f(0)|``.  Both the drop and the monotonicity slack scale with
+the curve's own start value, so a rescaled candidate gets the same answer;
+``DROP_TOL`` and ``MONOTONE_SLACK`` are read here and nowhere else.
 """
 
 from dataclasses import dataclass, field, replace
@@ -12,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 CURVE_SAMPLES = 64
-DROP_TOL = 1e-10  # relative threshold for a verified drop
-MONOTONE_SLACK = 1e-12
+DROP_TOL = 1e-10  # a verified drop exceeds DROP_TOL |f(0)|
+MONOTONE_SLACK = 1e-12  # a monotone step rises by at most MONOTONE_SLACK |f(0)|
 
 
 def _same(P):
@@ -59,26 +63,28 @@ def build_curve(kind, param, point_fn, value_fn, ts, as_point=_same) -> DescentC
     return DescentCurve(kind, param, ts_full, values, drop, point_fn, value_fn, as_point)
 
 
-def trim_to_descent(curve: DescentCurve, drop_req: float):
-    """Restrict a curve to its monotone decreasing prefix.
+def trim_to_descent(curve: DescentCurve):
+    """The witness gate: restrict a curve to its monotone decreasing prefix.
 
-    Returns the trimmed curve when the prefix verifies a drop larger than
-    ``drop_req``, else None.  The emitted samples end at the prefix minimum,
-    so they decrease monotonically within ``MONOTONE_SLACK * (1 + |f(0)|)``.
+    With f(0) the curve's start value, the prefix ends before the first
+    sample that rises by more than ``MONOTONE_SLACK |f(0)|``.  Returns the
+    prefix, cut at its minimum, when it drops the objective by more than
+    ``DROP_TOL |f(0)|``, else None.  Every ``not_local_min`` witness of the
+    certifiers and every ``escape_move`` curve is an output of this gate.
     """
     vals = curve.values
-    slack = MONOTONE_SLACK * (1.0 + abs(float(vals[0])))
+    scale = abs(float(vals[0]))
+    slack = MONOTONE_SLACK * scale
     end = len(vals)
     for i in range(1, len(vals)):
         if vals[i] > vals[i - 1] + slack:
             end = i
             break
-    prefix = vals[:end]
-    am = int(np.argmin(prefix))
+    am = int(np.argmin(vals[:end]))
     if am < 1:
         return None
     drop = float(vals[0] - vals[am])
-    if drop <= drop_req:
+    if drop <= DROP_TOL * scale:
         return None
     return replace(
         curve,

@@ -5,10 +5,11 @@ G with eigenvalues mu, and the objective is norm(S - G).  The additive
 eigenvalue inequality pins down the global minimum: align an eigenbasis of S
 (eigenvalues non-increasing) with mu non-increasing.  Candidates are
 certified by checking commutation with S plus monotone alignment of the two
-spectra in a joint eigenbasis; misaligned candidates are rejected with an
-explicit two-plane rotation curve along which the objective strictly drops.
-A non-commuting candidate is rejected with the norm-adapted commutator flow
-when the flow's sampled drop verifies, and is ``inconclusive`` otherwise.
+spectra in a joint eigenbasis.  A misaligned candidate is rejected with a
+two-plane rotation curve along which the objective strictly drops, a
+non-commuting one with the norm-adapted commutator flow; either rejection
+needs its curve to pass ``curves.trim_to_descent``, and the candidate is
+``inconclusive`` otherwise.
 """
 
 from dataclasses import dataclass
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import (
-    DROP_TOL,
-    DescentCurve,
-    build_curve,
-    log_grid,
-    trim_to_descent,
-)
+from .curves import DescentCurve, build_curve, log_grid, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
     as_hermitian,
@@ -124,13 +119,38 @@ def _first_inversion(lam, nu):
     return None
 
 
+def _sym(G):
+    return (G + conj_t(G)) / 2.0
+
+
+GIVENS_T_MAX = np.pi / 2 * 0.9999
+
+
+def givens_points(V, G0, j: int):
+    """Point function of the two-plane rotation G(t) = U(t) G0 U(t)^H, where
+    U(t) = V R(t) V^H rotates the j-th against the (j+1)-th column of V."""
+    d = G0.shape[0]
+
+    def point(ts):
+        R = np.tile(np.eye(d, dtype=np.complex128), (ts.size, 1, 1))
+        c, s = np.cos(ts), np.sin(ts)
+        R[:, j, j] = c
+        R[:, j + 1, j + 1] = c
+        R[:, j, j + 1] = s
+        R[:, j + 1, j] = -s
+        U = V @ R @ conj_t(V)
+        return _sym(U @ G0 @ conj_t(U))
+
+    return point
+
+
 def givens_descent_curve(norm: NormSpec, S, G0, j: int, joint_basis=None) -> DescentCurve:
     """Two-plane rotation curve G(t) = U(t) G0 U(t)^H strictly decreasing in t.
 
     Requires a commuting pair with, in the joint basis, lam[j] > lam[j+1]
     and nu[j] < nu[j+1]; rotating the j-th against the (j+1)-th basis vector
     then strictly shrinks the objective for every strictly convex norm on
-    all of t in (0, pi/2).
+    all of t in (0, pi/2).  The curve is sampled, not trimmed.
     """
     S, G0 = _pair(S, G0)
     d = S.shape[0]
@@ -148,38 +168,14 @@ def givens_descent_curve(norm: NormSpec, S, G0, j: int, joint_basis=None) -> Des
         )
     if nu[j] >= nu[j + 1]:
         raise ValueError("no inversion at the pivot: nu[j] must be < nu[j+1]")
-
-    def point(ts):
-        R = np.tile(np.eye(d, dtype=np.complex128), (ts.size, 1, 1))
-        c, s = np.cos(ts), np.sin(ts)
-        R[:, j, j] = c
-        R[:, j + 1, j + 1] = c
-        R[:, j, j + 1] = s
-        R[:, j + 1, j] = -s
-        U = V @ R @ conj_t(V)
-        return _sym(U @ G0 @ conj_t(U))
-
-    ts = log_grid(np.pi / 2 * 0.9999)
-    return build_curve("givens", j, point, distance_from(norm, S), ts)
+    return build_curve(
+        "givens", j, givens_points(V, G0, j), distance_from(norm, S), log_grid(GIVENS_T_MAX)
+    )
 
 
-def _sym(G):
-    return (G + conj_t(G)) / 2.0
-
-
-def _flow_curve(norm, S, G0, K):
-    """Orbit curve exp(tK) G0 exp(-tK) for skew-Hermitian K, with objective."""
-
-    def point(ts):
-        E = skew_exp(K, ts)
-        return _sym(E @ G0 @ conj_t(E))
-
-    return build_curve("gradient_flow", None, point, distance_from(norm, S), log_grid(1.0))
-
-
-def _noncommuting_witness(norm, S, G0, phi0):
-    """The norm-adapted commutator flow, trimmed to its verified descent, or
-    None.
+def _noncommuting_witness(norm, S, G0):
+    """The norm-adapted commutator flow exp(tK) G0 exp(-tK), through the
+    witness gate, or None.
 
     For the smooth strictly convex norms the gradient P = f(S - G0) has f
     strictly increasing, so [P, G0] = 0 would force [S, G0] = 0: at a
@@ -191,8 +187,14 @@ def _noncommuting_witness(norm, S, G0, phi0):
     size = frob(K)
     if size == 0.0:
         return None
-    curve = _flow_curve(norm, S, G0, K / size)
-    return trim_to_descent(curve, DROP_TOL * (1.0 + phi0))
+    K = K / size
+
+    def point(ts):
+        E = skew_exp(K, ts)
+        return _sym(E @ G0 @ conj_t(E))
+
+    curve = build_curve("gradient_flow", None, point, distance_from(norm, S), log_grid(1.0))
+    return trim_to_descent(curve)
 
 
 def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertificate:
@@ -203,9 +205,10 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
     ``|[S, G0]|_F <= tol * |S|_F |G0|_F`` (a test that does not change when
     S or G0 is rescaled), and the spectra are monotonically aligned in a
     joint basis, up to degeneracy clusters.  A misaligned commuting
-    candidate is rejected with a Givens descent witness; a non-commuting one
-    with its commutator flow, or ``inconclusive`` when the flow's drop does
-    not verify.  ``seed`` is accepted for compatibility; nothing reads it.
+    candidate is rejected with a Givens curve, a non-commuting one with its
+    commutator flow; either is ``inconclusive`` when its curve does not
+    pass ``trim_to_descent``.  ``seed`` is accepted for compatibility;
+    nothing reads it.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -215,16 +218,15 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
     scale = frob(S) * frob(G0)
     resid = frob(commutator(S, G0))
     if resid > tol * scale:
-        witness = _noncommuting_witness(norm, S, G0, phi0)
-        if witness is not None:
-            return EigCertificate("not_local_min", resid, None, False, witness, phi0)
-        return EigCertificate("inconclusive", resid, None, False, None, phi0)
-    lam, nu, V, _ = joint_diagonalize(S, G0)
-    j = _first_inversion(lam, nu)
-    if j is None:
-        return EigCertificate("certified_global", resid, V, True, None, phi0)
-    witness = givens_descent_curve(norm, S, G0, j, V)
-    return EigCertificate("not_local_min", resid, V, False, witness, phi0)
+        V, witness = None, _noncommuting_witness(norm, S, G0)
+    else:
+        lam, nu, V, _ = joint_diagonalize(S, G0)
+        j = _first_inversion(lam, nu)
+        if j is None:
+            return EigCertificate("certified_global", resid, V, True, None, phi0)
+        witness = trim_to_descent(givens_descent_curve(norm, S, G0, j, V))
+    verdict = "not_local_min" if witness else "inconclusive"
+    return EigCertificate(verdict, resid, V, False, witness, phi0)
 
 
 def random_orbit_point(mu, seed) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import DROP_TOL, build_curve, trim_to_descent
+from .curves import build_curve, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
     NULLSPACE_TOL,
@@ -97,13 +97,6 @@ def random_frame(d: int, a, seed) -> FrameSequence:
     V = rng.standard_normal((d, a.size)) + 1j * rng.standard_normal((d, a.size))
     V *= np.sqrt(a / np.sum(np.abs(V) ** 2, axis=0))
     return FrameSequence(V, a)
-
-
-def synthesis(G: FrameSequence) -> np.ndarray:
-    """d x k matrix whose columns are the frame vectors."""
-    if G.count == 0:
-        raise ValueError("empty frame")
-    return G.vectors.copy()
 
 
 def frame_operator(G: FrameSequence) -> np.ndarray:
@@ -439,9 +432,9 @@ def escape_move(S, G0: FrameSequence, cluster_index: int):
     of S - S_G strictly exceeds the cluster value: a kernel combination of
     the cluster is traded against an eigenvector of the larger eigenvalue,
     staying on the spheres while the spectrum strictly drops in majorization
-    order.  Returns None when the preconditions fail or the sampled drop is
-    not verifiable; sampled values use the Frobenius norm (the guarantee
-    covers every strictly convex norm).
+    order.  Returns None when the preconditions fail or the curve does not
+    pass ``curves.trim_to_descent``; sampled values use the Frobenius norm
+    (the guarantee covers every strictly convex norm).
     """
     norm = frobenius()
     G0.validate()
@@ -499,5 +492,4 @@ def escape_move(S, G0: FrameSequence, cluster_index: int):
     curve = build_curve(
         "escape", cluster_index, point, value, ts, lambda V: FrameSequence(V, a)
     )
-    theta0 = curve.values[0]
-    return trim_to_descent(curve, DROP_TOL * (1.0 + theta0))
+    return trim_to_descent(curve)

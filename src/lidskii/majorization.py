@@ -82,23 +82,3 @@ def majorizes(y, x, tol: float = PARTIAL_SUM_TOL) -> MajorizationVerdict:
         return MajorizationVerdict(False, False, xs.size, verdict.margin)
     return MajorizationVerdict(False, False, verdict.first_violation_index, verdict.margin)
 
-
-def majorization_path(a, b, t: float) -> np.ndarray:
-    """Linear interpolation rho(t) = (1 - t) a + t b for b < a.
-
-    For t in (0, 1] the result is majorized by a, strictly whenever the
-    sorted inputs differ.
-    """
-    av = sort_desc(a)
-    bv = sort_desc(b)
-    if av.size != bv.size:
-        raise ValueError("endpoint length mismatch")
-    verdict = majorizes(av, bv)
-    if not verdict.holds:
-        raise ValueError(
-            f"b is not majorized by a (margin {verdict.margin:.3e}, "
-            f"first violation at prefix {verdict.first_violation_index})"
-        )
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return (1.0 - t) * av + t * bv

@@ -25,7 +25,8 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind == "schatten":
-            if self.p is None or (not math.isinf(self.p) and self.p < 1.0):
+            # written so that a NaN p fails too; p = inf is allowed
+            if self.p is None or not self.p >= 1.0:
                 raise ValueError("schatten norms require p >= 1")
         elif self.kind == "kyfan":
             if self.k is None or int(self.k) < 1:
@@ -40,13 +41,6 @@ class NormSpec:
         if self.kind == "schatten":
             return 1.0 < self.p < math.inf
         return False
-
-    def label(self) -> str:
-        if self.kind == "schatten":
-            return f"schatten:{self.p:g}"
-        if self.kind == "kyfan":
-            return f"kyfan:{self.k}"
-        return self.kind
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -71,17 +65,6 @@ def spectral() -> NormSpec:
 
 def frobenius() -> NormSpec:
     return NormSpec("frobenius")
-
-
-def norm_from_json(obj: dict) -> NormSpec:
-    kind = obj.get("kind")
-    if kind == "schatten":
-        return schatten(obj["p"])
-    if kind == "kyfan":
-        return kyfan(obj["k"])
-    if kind in ("spectral", "frobenius"):
-        return NormSpec(kind)
-    raise ValueError(f"unknown norm kind in JSON: {kind!r}")
 
 
 def parse_norm(text: str) -> NormSpec:

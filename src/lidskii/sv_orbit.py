@@ -17,16 +17,11 @@ import numpy as np
 
 from . import eig_orbit
 from ._kernels import _blockwise
-from .curves import (
-    DROP_TOL,
-    DescentCurve,
-    build_curve,
-    log_grid,
-    trim_to_descent,
-)
+from .curves import DescentCurve, build_curve, log_grid, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
     _haar_qr,
+    as_hermitian,
     as_rng,
     check_tol,
     cluster_desc,
@@ -193,14 +188,13 @@ def phase_descent_curve(norm: NormSpec, A, joint: JointSVD, ell: int) -> Descent
     return build_curve("phase", ell, point, distance_from(norm, A), log_grid(np.pi))
 
 
-def _nonhermitian_witness(norm, A, B, psi0):
+def _nonhermitian_witness(norm, A, B):
     """Descent witness when A^H B or A B^H is not Hermitian, or None.
 
     Tries the two-sided flows B(t) = exp(t D1) B exp(t D2) along the
     skew-Hermitian parts of P B^H and B^H P, for P the norm gradient and
-    then A - B, and returns the first whose trimmed drop verifies.
+    then A - B, and returns the first that passes ``trim_to_descent``.
     """
-    drop_req = DROP_TOL * (1.0 + psi0)
     value = distance_from(norm, A)
 
     def flow(P):
@@ -217,9 +211,7 @@ def _nonhermitian_witness(norm, A, B, psi0):
             E = skew_exp(D, ts[:, np.newaxis])
             return E[:, 0] @ B @ E[:, 1]
 
-        return trim_to_descent(
-            build_curve("gradient_flow", None, point, value, log_grid(1.0)), drop_req
-        )
+        return trim_to_descent(build_curve("gradient_flow", None, point, value, log_grid(1.0)))
 
     for P in (norm_gradient(norm, A - B), A - B):
         curve = flow(P)
@@ -235,8 +227,9 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     as in ``joint_svd``) -> joint SVD -> beta must be non-negative (else a
     phase curve drops the objective) and monotonically aligned with alpha
     (else the problem reduces to the Hermitian orbit on the diagonal pair
-    and a Givens curve drops it).  Non-Hermitian products get a two-sided
-    gradient flow, or ``inconclusive`` when neither flow's drop verifies;
+    and a Givens curve, lifted by the joint frames, drops it).  Non-Hermitian
+    products get a two-sided gradient flow.  Each rejection needs its curve
+    to pass ``curves.trim_to_descent`` and is ``inconclusive`` otherwise;
     products that pass while ``joint_svd`` finds B off A's blocks, or a
     block of B non-Hermitian, also give ``inconclusive``.  ``seed`` is
     accepted for compatibility; nothing reads it.
@@ -249,42 +242,38 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     rA, rB = hermitian_residuals(A, B)
     scale = frob(A) * frob(B)
     if max(rA, rB) > tol * scale:
-        witness = _nonhermitian_witness(norm, A, B, psi0)
-        if witness is not None:
-            return SvCertificate("not_local_min", (rA, rB), None, witness, psi0)
-        return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
-    try:
-        joint = joint_svd(A, B, tol=tol)
-    except ValueError:
-        # the products pass, but B mixes singular blocks of A, or has a
-        # non-Hermitian block, by more than tol |B|_F: there is no joint SVD
-        # to certify from
-        return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
-    beta = joint.beta
-    neg_tol = tol * float(np.max(np.abs(beta)))
-    ell = int(np.argmin(beta))
-    if beta[ell] < -neg_tol:
-        curve = phase_descent_curve(norm, A, joint, ell)
-        trimmed = trim_to_descent(curve, DROP_TOL * (1.0 + psi0))
-        return SvCertificate("not_local_min", (rA, rB), joint, trimmed or curve, psi0)
-    # beta >= 0: misordering against alpha reduces to the Hermitian orbit
-    # problem for the diagonal pair
-    inner = eig_orbit.certify_local(
-        norm, np.diag(joint.alpha), np.diag(np.maximum(beta, 0.0)), tol
-    )
-    if inner.verdict == "not_local_min" and inner.descent_witness is not None:
-        U, V = joint.U, joint.V
-        inner_curve = inner.descent_witness
+        joint, witness = None, _nonhermitian_witness(norm, A, B)
+    else:
+        try:
+            joint = joint_svd(A, B, tol=tol)
+        except ValueError:
+            # the products pass, but B mixes singular blocks of A, or has a
+            # non-Hermitian block, by more than tol |B|_F: there is no joint
+            # SVD to certify from
+            return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
+        beta = joint.beta
+        ell = int(np.argmin(beta))
+        if beta[ell] < -tol * float(np.max(np.abs(beta))):
+            curve = phase_descent_curve(norm, A, joint, ell)
+        else:
+            # beta >= 0: a misordering against alpha is one of the Hermitian
+            # diagonal pair, whose Givens rotation the joint frames lift
+            Gd = as_hermitian(np.diag(np.maximum(beta, 0.0)))
+            lam, nu, W, _ = eig_orbit.joint_diagonalize(np.diag(joint.alpha), Gd)
+            j = eig_orbit._first_inversion(lam, nu)
+            if j is None:
+                return SvCertificate("certified_global", (rA, rB), joint, None, psi0)
+            rotate = eig_orbit.givens_points(W, Gd, j)
+            U, Vh = joint.U, joint.V.conj().T
 
-        def point(ts):
-            return U @ inner_curve.point_fn(ts) @ V.conj().T
+            def point(ts):
+                return U @ rotate(ts) @ Vh
 
-        curve = build_curve(
-            inner_curve.kind, inner_curve.param, point, distance_from(norm, A), inner_curve.ts[1:]
-        )
-        trimmed = trim_to_descent(curve, DROP_TOL * (1.0 + psi0))
-        return SvCertificate("not_local_min", (rA, rB), joint, trimmed or curve, psi0)
-    return SvCertificate("certified_global", (rA, rB), joint, None, psi0)
+            ts = log_grid(eig_orbit.GIVENS_T_MAX)
+            curve = build_curve("givens", j, point, distance_from(norm, A), ts)
+        witness = trim_to_descent(curve)
+    verdict = "not_local_min" if witness else "inconclusive"
+    return SvCertificate(verdict, (rA, rB), joint, witness, psi0)
 
 
 def equality_case(A, B, tol: float = 1e-7) -> bool:

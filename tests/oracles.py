@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from lidskii.curves import DROP_TOL, DescentCurve, log_grid, trim_to_descent
+from lidskii.curves import DescentCurve, log_grid, trim_to_descent
 from lidskii.eig_orbit import _spectrum
 from lidskii.majorization import sort_desc
 from lidskii.matrices import (
@@ -163,9 +163,8 @@ def _sampled_curve(kind, point, value):
     return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point, value)
 
 
-def eig_witness_flow(norm, S, G0, phi0):
+def eig_witness_flow(norm, S, G0):
     """The commutator flow, trimmed to its verified descent, or None."""
-    drop_req = DROP_TOL * (1.0 + phi0)
 
     def value(G):
         return evaluate(norm, S - G)
@@ -181,13 +180,12 @@ def eig_witness_flow(norm, S, G0, phi0):
         G = E @ G0 @ E.conj().T
         return (G + G.conj().T) / 2.0
 
-    return trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
+    return trim_to_descent(_sampled_curve("gradient_flow", flow, value))
 
 
-def sv_witness_flow(norm, A, B, psi0):
+def sv_witness_flow(norm, A, B):
     """The first of the two two-sided flows whose trimmed drop verifies, or
     None."""
-    drop_req = DROP_TOL * (1.0 + psi0)
 
     def value(Bt):
         return evaluate(norm, A - Bt)
@@ -204,7 +202,7 @@ def sv_witness_flow(norm, A, B, psi0):
         def flow(t, d1=d1 / nrm, d2=d2 / nrm):
             return skew_exp(d1, t) @ B @ skew_exp(d2, t)
 
-        trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value), drop_req)
+        trimmed = trim_to_descent(_sampled_curve("gradient_flow", flow, value))
         if trimmed is not None:
             return trimmed
     return None

@@ -6,7 +6,7 @@ the candidate's value."""
 import numpy as np
 import pytest
 
-from lidskii import eig_orbit, frames, sv_orbit
+from lidskii import curves, eig_orbit, frames, sv_orbit
 from lidskii.majorization import sort_desc
 from lidskii.matrices import (
     eigvalsh_desc,
@@ -183,6 +183,47 @@ def test_negative_beta_is_rejected_at_every_scale(c):
         "not_local_min", "phase",
     )
     assert cert.descent_witness.param == 1
+
+
+def test_zero_drop_phase_curve_is_no_witness():
+    """beta = -2e-8 against alpha = 1e-6: rotating it drops the Schatten-3
+    distance by less than one rounding of psi, so the sampled phase curve
+    is flat and the candidate is inconclusive, not rejected with a curve
+    that verifies no drop."""
+    cert = sv_orbit.certify_local(schatten(3), np.diag([2.0, 1e-6]), np.diag([1.0, -2e-8]))
+    assert cert.verdict == "inconclusive"
+    assert cert.descent_witness is None
+
+
+def _witness_cases():
+    """(certifier, S or A, G0 or B) on the near-degenerate grids: sv
+    diag(2, a) against diag(1, b) with a tiny negative b, and eig
+    diag(2, 2 - delta, 0.5) against diag(1, 1 + eta, 3)."""
+    for a in (1e-3, 1e-6, 1e-8, 3e-9):
+        for b in (-2e-8, -1e-7, -1e-6):
+            yield sv_orbit.certify_local, np.diag([2.0, a]), np.diag([1.0, b])
+    for delta in (3e-7, 1e-6, 1e-4):
+        for eta in (3e-7, 1e-6, 1e-4):
+            yield eig_orbit.certify_local, np.diag([2.0, 2.0 - delta, 0.5]), np.diag([1.0, 1.0 + eta, 3.0])
+
+
+@pytest.mark.parametrize("name", ["frobenius", "schatten:3", "schatten:1.2"])
+def test_every_rejection_verifies_its_drop(name):
+    """Every not_local_min carries a witness whose verified drop exceeds
+    DROP_TOL |f(0)|, f(0) its first sample, and whose end point, evaluated
+    again, lies below f(0) and below the candidate's value."""
+    norm = parse_norm(name)
+    for certify, X, Y in _witness_cases():
+        cert = certify(norm, X, Y)
+        if cert.verdict != "not_local_min":
+            assert cert.descent_witness is None
+            continue
+        curve = cert.descent_witness
+        f0 = curve.values[0]
+        assert curve.verified_drop > curves.DROP_TOL * abs(f0)
+        assert curve.verified_drop == f0 - curve.values[-1]
+        end = evaluate(norm, X - curve.point(float(curve.ts[-1])))
+        assert end < f0 and end < evaluate(norm, X - Y)
 
 
 def _assert_same_certificate(a, b):

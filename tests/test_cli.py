@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -269,3 +270,14 @@ def test_non_finite_mass_exits_one(workdir, capsys):
     assert main(["water-fill", "--lambda", "3,2,1", "--t", "nan"]) == 1
     err = capsys.readouterr().err
     assert "positive and finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["nan", "-inf", "0.5"])
+def test_schatten_p_below_one_exits_one(workdir, p, capsys):
+    """A p that is not >= 1 is a usage error; nan once reached the report as
+    the invalid JSON token NaN and -inf was taken for the spectral norm."""
+    argv = ["min-eig", "--S", workdir["S"], "--mu", "1,0", "--norm"]
+    assert main(argv + [f"schatten:{p}"]) == 1
+    assert "schatten norms require p >= 1" in capsys.readouterr().err
+    assert main(argv + ["schatten:inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["norm"] == {"kind": "schatten", "p": math.inf}

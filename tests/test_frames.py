@@ -17,7 +17,6 @@ from lidskii.frames import (
     random_frame,
     structure_check,
     subgradient_descent,
-    synthesis,
     water_fill,
 )
 from lidskii.majorization import sort_desc
@@ -28,17 +27,6 @@ from lidskii.properties import dependent_cluster_instance
 
 def _basis_frame(d):
     return FrameSequence(np.eye(d, dtype=complex), np.ones(d))
-
-
-def test_synthesis_examples():
-    G = _basis_frame(3)
-    assert np.allclose(synthesis(G), np.eye(3))
-    V = np.zeros((2, 2), dtype=complex)
-    V[0, :] = 1.0
-    G = FrameSequence(V, [1.0, 1.0])
-    assert np.allclose(synthesis(G), [[1, 1], [0, 0]])
-    g = frame(np.array([[1.0], [2.0]]))
-    assert np.allclose(synthesis(g), [[1.0], [2.0]])
 
 
 def test_frame_operator_examples():

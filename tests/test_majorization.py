@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lidskii.majorization import majorization_path, majorizes, sort_desc, submajorizes
+from lidskii.majorization import majorizes, sort_desc, submajorizes
 
 
 def test_sort_desc_examples():
@@ -57,32 +57,3 @@ def test_reflexive_not_strict():
     v = majorizes([2, 1, 0], [2, 1, 0])
     assert v.holds and not v.strict
 
-
-def test_majorization_path_endpoints():
-    a, b = np.array([2.0, 0.0]), np.array([1.0, 1.0])
-    assert np.allclose(majorization_path(a, b, 0.0), a)
-    assert np.allclose(majorization_path(a, b, 1.0), b)
-    mid = majorization_path(a, b, 0.5)
-    assert np.allclose(mid, [1.5, 0.5])
-    v = majorizes(a, mid)
-    assert v.holds and v.strict
-
-
-def test_majorization_path_rejects_unrelated():
-    with pytest.raises(ValueError):
-        majorization_path([1.0, 1.0], [2.0, 0.0], 0.5)  # (2,0) not majorized by (1,1)
-    with pytest.raises(ValueError):
-        majorization_path([2.0, 0.0], [1.0, 1.0], 1.5)
-
-
-def test_path_strictly_inside_for_distinct_endpoints():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = sort_desc(rng.standard_normal(5))
-        b = np.full(5, np.mean(a))  # uniform vector, majorized by a
-        for t in (0.25, 0.5, 0.9, 1.0):
-            rho = majorization_path(a, b, t)
-            v = majorizes(a, rho)
-            assert v.holds
-            if t > 0 and not np.allclose(a, b):
-                assert not np.allclose(sort_desc(rho), a)

@@ -2,14 +2,16 @@
 homogeneous and unitarily invariant, so a candidate multiplied by c, or
 conjugated by a Haar unitary, must get the verdict of the candidate itself.
 Every threshold is a tolerance times the size of the operands it compares,
-with no absolute floor, so the verdicts below hold from c = 1e-8 to 1e8."""
+with no absolute floor, so the verdicts below hold from c = 1e-8 to 1e8;
+the drop a witness must verify scales with the curve's own start value, so
+non-commuting candidates keep their rejection down to c = 1e-12."""
 
 import numpy as np
 import pytest
 
 from lidskii import eig_orbit, frames, sv_orbit
-from lidskii.matrices import haar_unitary, random_general
-from lidskii.norms import frobenius, schatten
+from lidskii.matrices import haar_unitary, random_general, random_hermitian
+from lidskii.norms import frobenius, parse_norm, schatten
 from lidskii.properties import (
     commuting_candidate,
     dependent_cluster_instance,
@@ -94,6 +96,28 @@ def test_small_misordered_pair_is_rejected():
     assert cert.verdict == "not_local_min"
     assert cert.descent_witness.kind == "givens"
     assert cert.descent_witness.verified_drop > 0
+
+
+@pytest.mark.parametrize("name", ["frobenius", "schatten:3", "schatten:1.2"])
+def test_noncommuting_candidates_are_rejected_at_every_scale(name):
+    """A Haar candidate on each orbit is far from a minimizer, so its
+    gradient flow must verify a drop at every scale.  The eig pair was
+    inconclusive at c = 1e-10 and 1e-12 while the drop had to exceed
+    DROP_TOL (1 + phi0)."""
+    norm = parse_norm(name)
+    rng = np.random.default_rng(0)
+    S = random_hermitian(3, rng)
+    G0 = eig_orbit.random_orbit_point([2.0, 1.0, 0.0], rng)
+    A = random_general(3, rng)
+    B = haar_unitary(3, rng).conj().T @ np.diag([2.0, 1.0, 0.5]) @ haar_unitary(3, rng)
+    U, V = haar_unitary(3, rng), haar_unitary(3, rng)
+    for c in (1e-12, 1e-10) + SCALES:
+        for W in (None, U):
+            cert = eig_orbit.certify_local(norm, c * _conj(W, S), c * _conj(W, G0))
+            assert cert.verdict == "not_local_min", ("eig", c, W is not None)
+            Ac, Bc = (c * A, c * B) if W is None else (c * W @ A @ V, c * W @ B @ V)
+            cert = sv_orbit.certify_local(norm, Ac, Bc)
+            assert cert.verdict == "not_local_min", ("sv", c, W is not None)
 
 
 def test_random_frame_at_small_scale_violates_structure():

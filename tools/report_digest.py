@@ -6,7 +6,9 @@ Prints one sha256 per output:
 
 * ``certify seed=<s>``: the reports and exit codes of the benchmark's certify
   operations at seeds 0, 1 and 2 (30 instances, 360 CLI calls each), with
-  the count of each exit code;
+  the count of each exit code per operation kind (``certify-eig``,
+  ``certify-sv``, ...), so a verdict that moves from one certifier to the
+  other shows even when the pooled counts do not;
 * ``frame_opt``: the reports of the 16 fod-optimize operations;
 * ``property-suite <scale> seed=<s>``: the suite JSON at small seeds 0 and 1
   and at medium seed 0.
@@ -31,18 +33,20 @@ SUITES = (("small", 0), ("small", 1), ("medium", 0))
 
 def _run_ops(ops, workdir):
     """Run each operation; returns the sha256 of its exit codes and reports,
-    and the count of each exit code."""
+    and the count of each exit code per operation kind."""
     digest = hashlib.sha256()
-    codes = collections.Counter()
+    codes = collections.defaultdict(collections.Counter)
     out = os.path.join(workdir, "out.json")
     for op in ops:
         code = op.run()
-        codes[code] += 1
+        codes[op.kind][code] += 1
         with open(out, "rb") as fh:
             report = fh.read()
         digest.update(f"{op.kind} {code}\n".encode())
         digest.update(report)
-    return digest.hexdigest(), dict(sorted(codes.items()))
+    return digest.hexdigest(), {
+        kind: dict(sorted(counts.items())) for kind, counts in sorted(codes.items())
+    }
 
 
 def main(argv=None):
