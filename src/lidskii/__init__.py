@@ -12,6 +12,7 @@ from .frames import (
     frame_operator_distance,
     gradient_descent,
     psd_lower_bound,
+    relaxation_minimizer,
     structure_check,
     water_fill,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "pair_submersion_test",
     "parse_norm",
     "psd_lower_bound",
+    "relaxation_minimizer",
     "schatten",
     "sort_desc",
     "spectral",

@@ -147,9 +147,18 @@ def _cmd_fod_optimize(args):
     S = _load_matrix(args.S)
     a = _load_vector(args.a)
     norm = parse_norm(args.norm)
-    best, trace, theta, which = frames.best_of_restarts(
-        norm, S, a, restarts=args.restarts, seed=args.seed
-    )
+    closed = frames.relaxation_minimizer(S, a)
+    if closed is None:
+        best, trace, theta, which = frames.best_of_restarts(
+            norm, S, a, restarts=args.restarts, seed=args.seed
+        )
+    else:
+        # the relaxation bound is attained: one descent from the closed form,
+        # which stops at once on its zero gradient
+        [(best, trace)] = frames.descend_restarts(
+            norm, S, a, [0], frames.DescentOptions(init=closed.vectors)
+        )
+        theta, which = frames.frame_operator_distance(norm, S, best), 0
     report_struct = frames.structure_check(norm, S, best, tol=max(args.tol, 1e-6))
     bound, _ = frames.psd_lower_bound(norm, S, float(np.sum(a)))
     special = frames.certify_uniform_eigenvalue(norm, S, best, tol=max(args.tol, 1e-6)) \
@@ -235,7 +244,11 @@ def build_parser() -> _Parser:
     common(p, norm_default="schatten:2", seed=False)
     p.set_defaults(func=_cmd_fod_check)
 
-    p = sub.add_parser("fod-optimize", help="multi-restart frame distance descent")
+    p = sub.add_parser(
+        "fod-optimize",
+        help="frame distance minimizer: the Schur-Horn closed form where the "
+        "PSD relaxation bound is attained, else the best of seeded descents",
+    )
     p.add_argument("--S", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--restarts", type=int, default=8)

@@ -3,13 +3,14 @@
 A frame configuration is a sequence of k vectors in C^d with prescribed
 squared norms a_i; its frame operator is the PSD matrix sum of the rank-one
 outer products.  The objective is norm(S - S_G) for a fixed PSD target S.
-This module provides the water-filling PSD relaxation lower bound, the
-structural tests every local minimizer must pass (each vector an eigenvector
-of S - S_G, commuting spectra, aligned eigenvalues, per-cluster linear
-independence), the escape construction off dependent clusters, the
-global-optimality certificate for the single-eigenvalue case, and
-projected gradient descent on the spheres, which runs seeded restarts in
-lockstep (``descend_restarts``, ``best_of_restarts``).
+This module provides the water-filling PSD relaxation lower bound, its
+Schur-Horn frame where the bound is attained, the structural tests every
+local minimizer must pass (each vector an eigenvector of S - S_G, commuting
+spectra, aligned eigenvalues, per-cluster linear independence), the escape
+construction off dependent clusters, the global-optimality certificate for
+the single-eigenvalue case, and projected gradient descent on the spheres,
+which runs seeded restarts in lockstep (``descend_restarts``,
+``best_of_restarts``).
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import build_curve, trim_to_descent
-from .majorization import sort_desc
+from .majorization import majorizes, sort_desc
 from .matrices import (
     NULLSPACE_TOL,
     as_hermitian,
@@ -153,13 +154,92 @@ def psd_lower_bound(norm: NormSpec, S, t: float):
     with sum a_i = t.
     """
     S = as_hermitian(S)
-    lam, V = eigh(S)
-    if lam[-1] < -1e-10 * abs(lam[0]):
-        raise ValueError("target must be positive semidefinite")
-    c, spec = water_fill(np.maximum(lam, 0.0), t)
+    V, spec = _relaxation(S, t)
     Aop = (V * spec[np.newaxis, :]) @ V.conj().T
     Aop = (Aop + Aop.conj().T) / 2.0
     return evaluate(norm, S - Aop), Aop
+
+
+def _relaxation(S, t):
+    """The eigenbasis of a PSD S (non-increasing) and its water-filled
+    spectrum (lam(S) - c)^+ at total mass t, in that order."""
+    lam, V = eigh(S)
+    if lam[-1] < -1e-10 * abs(lam[0]):
+        raise ValueError("target must be positive semidefinite")
+    _c, spec = water_fill(np.maximum(lam, 0.0), t)
+    return V, spec
+
+
+def relaxation_minimizer(S, a) -> FrameSequence | None:
+    """A frame whose operator is the minimizer of ``psd_lower_bound``, or None.
+
+    The frame operators of k vectors with squared norms a are the PSD
+    matrices whose spectrum, padded with zeros to length k, majorizes a
+    (Antezana, Massey, Ruiz, Stojanoff, Illinois J. Math. 2007).  So when a
+    is majorized by the water-filled spectrum of S at t = sum a, padded or
+    truncated to length k, the relaxation bound is attained for every norm,
+    by G = V_S diag(sqrt(lam')) W with W real orthogonal and
+    diag(W^T diag(lam') W) = a (``_schur_horn_rotation``); a truncation
+    that drops mass fails the test.  The test compares a / t with lam' / t,
+    so (cS, ca) gets the decision of (S, a) at every scale c.  Returns None
+    when a is not majorized; raises ValueError for a non-PSD S.
+    """
+    S = as_hermitian(S)
+    a = np.asarray(a, dtype=float).ravel()
+    _check_norms(a)
+    t = float(np.sum(a))
+    V, spec = _relaxation(S, t)
+    m = min(spec.size, a.size)
+    lam = np.zeros(a.size)
+    lam[:m] = spec[:m]
+    if not majorizes(lam / t, a / t).holds:
+        return None
+    W = _schur_horn_rotation(lam, a)
+    G = (V[:, :m] * np.sqrt(lam[:m])) @ W[:m]
+    # the sphere retraction of the descents: a norm off by rounding, or by
+    # the majorization test's tolerance, is put back on its sphere
+    G *= np.sqrt(a / np.sum(np.abs(G) ** 2, axis=0))
+    return FrameSequence(G, a)
+
+
+def _schur_horn_rotation(lam, a):
+    """Real orthogonal W with diag(W^T diag(lam) W) = a, for a non-increasing
+    ``lam`` that majorizes ``a``.
+
+    With b = a sorted non-increasingly and x the current diagonal (first
+    ``lam``), each step is a T-transform (Marshall and Olkin, *Inequalities*,
+    2.B.1): j is the last index with x_j > b_j, l the first index after j
+    with x_l < b_l, and a Givens rotation in the (j, l) plane moves
+    min(x_j - b_j, b_l - x_l) from x_j to x_l.  x stays non-increasing and
+    majorizes b, and each step sets one more entry to b, so at most k - 1
+    steps are taken.  Every set of coordinates joined by earlier rotations
+    holds at most one unmatched entry, so entry (j, l) of W^T diag(lam) W
+    is still 0 and the rotation changes only x_j and x_l.  The columns are
+    put back in the order of ``a``.
+    """
+    order = np.argsort(-a, kind="stable")
+    b = a[order]
+    x = np.array(lam, dtype=float)
+    W = np.eye(a.size)
+    for _ in range(a.size - 1):
+        above = np.flatnonzero(x > b)
+        if above.size == 0:
+            break
+        j = above[-1]
+        below = np.flatnonzero(x[j + 1:] < b[j + 1:])
+        if below.size == 0:  # a is majorized only within the test's tolerance
+            break
+        l = j + 1 + below[0]
+        over, under = x[j] - b[j], b[l] - x[l]
+        delta = min(over, under)
+        s2 = delta / (x[j] - x[l])
+        c, s = np.sqrt(1.0 - s2), np.sqrt(s2)
+        W[:, [j, l]] = W[:, [j, l]] @ np.array([[c, -s], [s, c]])
+        x[j] = b[j] if over <= under else x[j] - delta
+        x[l] = b[l] if under <= over else x[l] + delta
+    out = np.empty_like(W)
+    out[:, order] = W
+    return out
 
 
 def fitted_eigenvalues(S, G: FrameSequence):

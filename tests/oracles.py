@@ -11,6 +11,7 @@ sample at a time, the eigenvalue-orbit sampler runs as one stack (the
 library works it in blocks on a thread pool), the singular-value-orbit
 sampler draws one Haar unitary at a time, and the frame descents run one restart at a time on 2-d arrays
 (the library descends a stack of restarts in lockstep).
+``criterion_09_instances`` repeats the draws of acceptance criterion 09.
 """
 
 import math
@@ -151,6 +152,23 @@ def partial_sum_check(y, x) -> tuple:
         sy += ys[j]
         worst = min(worst, sy - sx)
     return worst >= -1e-10 * (1.0 + abs(sy) + abs(sx)), worst
+
+
+def criterion_09_instances(count: int = 100):
+    """(S, a, restart seeds) of acceptance criterion 09's first ``count``
+    configurations, from that test's draws (seed 109) in its order."""
+    rng = as_rng(109)
+    instances = []
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(d, d + 3))
+        a = rng.uniform(0.3, 1.5, k)
+        lam = sort_desc(rng.uniform(0, 3, d))
+        V = haar_unitary(d, rng)
+        S = (V * lam) @ V.conj().T
+        seeds = [int(rng.integers(0, 2**31)) for _r in range(8)]
+        instances.append(((S + S.conj().T) / 2, a, seeds))
+    return instances
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from lidskii import cli, jsonio
+from oracles import criterion_09_instances
+from lidskii import cli, frames, jsonio
 from lidskii.cli import main
 from lidskii.frames import FrameSequence
 from lidskii.matrices import skew_exp
+from lidskii.norms import frobenius
 
 
 @pytest.fixture
@@ -158,6 +160,43 @@ def test_fod_optimize_writes_report(workdir, tmp_path):
     assert report["special_case"] == "certified_global"
     back = jsonio.frame_from_json(report["frame"])
     assert back.dim == 2 and back.count == 2
+
+
+def test_fod_optimize_attainable_instance_is_the_closed_form(workdir, capsys):
+    """S = diag(3, 1), a = (1, 1): the water-filled spectrum (2, 0)
+    majorizes a, so the report is the Schur-Horn frame, which no descent
+    step moves; the seed and the restart count change only their echoes."""
+    reports = []
+    for seed, restarts in (("0", "8"), ("7", "2")):
+        argv = ["fod-optimize", "--S", workdir["S"], "--a", "1,1", "--norm", "frobenius"]
+        assert main(argv + ["--seed", seed, "--restarts", restarts]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    for report in reports:
+        assert report["iterations"] == 0 and report["converged"]
+        assert report["best_restart"] == 0
+        assert report["special_case"] == "certified_global"
+        assert report["theta"] == pytest.approx(report["lower_bound"], rel=1e-12)
+    first, second = ({k: v for k, v in r.items() if k not in ("seed", "restarts")} for r in reports)
+    assert json.dumps(first) == json.dumps(second)
+
+
+def test_fod_optimize_unattainable_instance_keeps_the_restarts(tmp_path, capsys):
+    """Criterion 09's configuration 5 is not majorized: the report is
+    ``best_of_restarts``'s result."""
+    S, a, seeds = criterion_09_instances(6)[5]
+    assert frames.relaxation_minimizer(S, a) is None
+    s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
+    s_path.write_text(json.dumps(jsonio.matrix_to_json(S)))
+    a_path.write_text(json.dumps([float(x) for x in a]))
+    argv = ["fod-optimize", "--S", str(s_path), "--a", str(a_path), "--norm", "frobenius"]
+    assert main(argv + ["--restarts", "4", "--seed", str(seeds[0])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    G, tr, theta, best = frames.best_of_restarts(frobenius(), S, a, 4, seeds[0])
+    assert report["theta"] == theta and report["best_restart"] == best
+    assert (report["grad_norm"], report["iterations"], report["converged"]) == (
+        tr.grad_norm, tr.iterations, tr.converged
+    )
+    assert np.array_equal(jsonio.frame_from_json(report["frame"]).vectors, G.vectors)
 
 
 def test_round_trip_cli_outputs_reparse(workdir, capsys):

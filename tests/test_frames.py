@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import water_fill_bisect
+from oracles import criterion_09_instances, water_fill_bisect
 from lidskii import frames
 from lidskii.frames import (
+    SPHERE_TOL,
     DescentOptions,
     FrameSequence,
     certify_uniform_eigenvalue,
@@ -15,6 +16,7 @@ from lidskii.frames import (
     gradient_descent,
     psd_lower_bound,
     random_frame,
+    relaxation_minimizer,
     structure_check,
     subgradient_descent,
     water_fill,
@@ -120,6 +122,96 @@ def test_psd_lower_bound_dominated_by_random_frames():
         for _ in range(50):
             G = random_frame(d, a, rng)
             assert frame_operator_distance(norm, S, G) >= bound - 1e-8
+
+
+# criterion 09's configurations whose squared norms the padded water-filled
+# spectrum does not majorize
+NOT_MAJORIZED = {5, 13, 23, 30, 35, 39, 63, 80}
+
+
+def _assert_attains_bound(S, G, rtol=1e-10):
+    """G sits on its spheres and attains the relaxation bound: theta equals
+    ``psd_lower_bound`` for Frobenius and Schatten 3."""
+    assert np.max(G.sphere_residuals()) <= SPHERE_TOL
+    for norm in (frobenius(), schatten(3)):
+        bound, _ = psd_lower_bound(norm, S, float(np.sum(G.norms)))
+        assert abs(frame_operator_distance(norm, S, G) - bound) <= rtol * bound
+
+
+def _rotated(lam, rng):
+    V = haar_unitary(len(lam), rng)
+    S = (V * np.asarray(lam)) @ V.conj().T
+    return (S + S.conj().T) / 2
+
+
+def test_relaxation_minimizer_on_criterion_09_configurations():
+    returned = set()
+    for i, (S, a, _seeds) in enumerate(criterion_09_instances()):
+        G = relaxation_minimizer(S, a)
+        if G is None:
+            continue
+        returned.add(i)
+        assert np.array_equal(G.norms, a)
+        _assert_attains_bound(S, G)
+        assert structure_check(frobenius(), S, G).verdict == "consistent_with_local_min"
+        assert certify_uniform_eigenvalue(frobenius(), S, G) == "certified_global"
+    assert returned == set(range(100)) - NOT_MAJORIZED
+
+
+def test_relaxation_minimizer_degenerate_inputs():
+    # d = 1: every positive a is majorized by (t, 0, ..., 0)
+    G = relaxation_minimizer(np.array([[2.0]]), [0.5, 1.0, 0.25])
+    assert G.dim == 1 and G.count == 3
+    assert frame_operator(G)[0, 0].real == pytest.approx(1.75)
+    # k < d: the water-filled spectrum (1.5, 0.5, 0, 0) has rank 2 = k
+    S = np.diag([3.0, 2.0, 1.0, 0.5])
+    G = relaxation_minimizer(S, [1.0, 1.0])
+    assert G.dim == 4 and G.count == 2
+    assert np.allclose(frame_operator(G), np.diag([1.5, 0.5, 0.0, 0.0]), atol=1e-14)
+    _assert_attains_bound(S, G)
+    # ... but not when a truncation to k drops mass: at t = 4 the spectrum
+    # (7/3, 4/3, 1/3, 0) has rank 3 > k = 2
+    assert relaxation_minimizer(S, [2.0, 2.0]) is None
+    # a is the water-filled spectrum (3, 2, 1) itself, permuted: W is a
+    # permutation and each vector a scaled eigenvector of S
+    G = relaxation_minimizer(np.diag([4.0, 3.0, 2.0]), [1.0, 3.0, 2.0])
+    expected = np.sqrt([[0.0, 3.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+    assert np.allclose(np.abs(G.vectors), expected, atol=1e-15)
+    # repeated eigenvalues: a multiple of the identity, and a Haar-rotated
+    # diag(2, 2, 1)
+    rng = np.random.default_rng(4)
+    for S, a in (
+        (2.0 * np.eye(3), [1.0, 0.5, 0.8, 0.7]),
+        (_rotated([2.0, 2.0, 1.0], rng), [0.9, 0.6, 1.1, 0.4]),
+    ):
+        G = relaxation_minimizer(S, a)
+        _assert_attains_bound(S, G)
+        assert structure_check(frobenius(), S, G).verdict == "consistent_with_local_min"
+    # singular S: the spectrum (1.25, 0.25, 0) and the rank-one (0.5, 0)
+    for S, a in ((_rotated([2.0, 1.0, 0.0], rng), [0.5, 0.5, 0.5]), (np.diag([1.0, 0.0]), [0.3, 0.2])):
+        G = relaxation_minimizer(S, a)
+        _assert_attains_bound(S, G)
+        assert structure_check(frobenius(), S, G).verdict == "consistent_with_local_min"
+    # not majorized: (1.5, 0.5) against the spectrum (1, 1)
+    assert relaxation_minimizer(2.0 * np.eye(2), [1.5, 0.5]) is None
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        relaxation_minimizer(np.diag([1.0, -1.0]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        relaxation_minimizer(np.eye(2), [1.0, np.nan])
+
+
+def test_schur_horn_rotation_prescribes_the_diagonal():
+    # a = D lam for a doubly stochastic D (a mix of permutations) is
+    # majorized by lam; lam has trailing zeros and ties, k up to 12
+    rng = np.random.default_rng(5)
+    for k in range(1, 13):
+        lam = sort_desc(np.concatenate([rng.choice([0.5, 1.0, 2.5], k // 2), np.zeros(k - k // 2)]))
+        lam[0] += 1.0
+        w = rng.dirichlet(np.ones(3))
+        a = sum(wi * lam[rng.permutation(k)] for wi in w)
+        W = frames._schur_horn_rotation(lam, a)
+        assert np.allclose(W.T @ W, np.eye(k), rtol=0, atol=1e-14)
+        assert np.allclose(np.diag(W.T @ np.diag(lam) @ W), a, rtol=0, atol=1e-14 * lam[0])
 
 
 def test_structure_check_consistent_example():
