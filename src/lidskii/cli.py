@@ -149,16 +149,14 @@ def _cmd_fod_optimize(args):
     norm = parse_norm(args.norm)
     closed = frames.relaxation_minimizer(S, a)
     if closed is None:
-        best, trace, theta, which = frames.best_of_restarts(
-            norm, S, a, restarts=args.restarts, seed=args.seed
-        )
+        restarts, opts = args.restarts, None
     else:
         # the relaxation bound is attained: one descent from the closed form,
         # which stops at once on its zero gradient
-        [(best, trace)] = frames.descend_restarts(
-            norm, S, a, [0], frames.DescentOptions(init=closed.vectors)
-        )
-        theta, which = frames.frame_operator_distance(norm, S, best), 0
+        restarts, opts = 1, frames.DescentOptions(init=closed.vectors)
+    best, trace, theta, which = frames.best_of_restarts(
+        norm, S, a, restarts=restarts, seed=args.seed, opts=opts
+    )
     report_struct = frames.structure_check(norm, S, best, tol=max(args.tol, 1e-6))
     bound, _ = frames.psd_lower_bound(norm, S, float(np.sum(a)))
     special = frames.certify_uniform_eigenvalue(norm, S, best, tol=max(args.tol, 1e-6)) \

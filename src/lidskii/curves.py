@@ -26,10 +26,10 @@ def _same(P):
 
 @dataclass
 class DescentCurve:
-    """Sampled curve.  ``point_fn`` maps an array of n parameters to a stack
-    of n raw points, ``value_fn`` maps such a stack to its n objective
-    values, and ``as_point`` turns one raw point into the constraint-set
-    object (the identity for matrices, a FrameSequence for frames)."""
+    """Sampled curve: ``values[i]`` is the objective at ``point(ts[i])``.
+    ``point_fn`` maps an array of n parameters to a stack of n raw points,
+    and ``as_point`` turns one raw point into the constraint-set object (the
+    identity for matrices, a FrameSequence for frames)."""
 
     kind: str  # "givens" | "phase" | "gradient_flow" | "escape"
     param: int | None
@@ -37,16 +37,10 @@ class DescentCurve:
     values: np.ndarray
     verified_drop: float
     point_fn: Callable = field(repr=False, compare=False)
-    value_fn: Callable = field(repr=False, compare=False)
     as_point: Callable = field(default=_same, repr=False, compare=False)
 
     def point(self, t: float):
         return self.as_point(self.point_fn(np.array([float(t)]))[0])
-
-    def sample(self, t: float):
-        """Return (point on the constraint set, objective value) at t."""
-        P = self.point_fn(np.array([float(t)]))
-        return self.as_point(P[0]), float(self.value_fn(P)[0])
 
 
 def log_grid(t_max: float) -> np.ndarray:
@@ -55,12 +49,13 @@ def log_grid(t_max: float) -> np.ndarray:
     return np.geomspace(t_max * 1e-6, t_max, CURVE_SAMPLES)
 
 
-def build_curve(kind, param, point_fn, value_fn, ts, as_point=_same) -> DescentCurve:
-    """Evaluate the objective along [0] + ts, all samples as one stack."""
+def build_curve(kind, param, point_fn, value, ts, as_point=_same) -> DescentCurve:
+    """Evaluate the objective along [0] + ts, all samples as one stack;
+    ``value`` maps a stack of n raw points to their n objective values."""
     ts_full = np.concatenate([[0.0], np.asarray(ts, dtype=float)])
-    values = np.asarray(value_fn(point_fn(ts_full)), dtype=float)
+    values = np.asarray(value(point_fn(ts_full)), dtype=float)
     drop = float(values[0] - values.min())
-    return DescentCurve(kind, param, ts_full, values, drop, point_fn, value_fn, as_point)
+    return DescentCurve(kind, param, ts_full, values, drop, point_fn, as_point)
 
 
 def trim_to_descent(curve: DescentCurve):

@@ -23,7 +23,6 @@ from .matrices import (
     as_hermitian,
     as_rng,
     check_tol,
-    check_unitary,
     cluster_desc,
     commutator,
     conj_t,
@@ -144,35 +143,6 @@ def givens_points(V, G0, j: int):
     return point
 
 
-def givens_descent_curve(norm: NormSpec, S, G0, j: int, joint_basis=None) -> DescentCurve:
-    """Two-plane rotation curve G(t) = U(t) G0 U(t)^H strictly decreasing in t.
-
-    Requires a commuting pair with, in the joint basis, lam[j] > lam[j+1]
-    and nu[j] < nu[j+1]; rotating the j-th against the (j+1)-th basis vector
-    then strictly shrinks the objective for every strictly convex norm on
-    all of t in (0, pi/2).  The curve is sampled, not trimmed.
-    """
-    S, G0 = _pair(S, G0)
-    d = S.shape[0]
-    if not 0 <= j < d - 1:
-        raise ValueError(f"pivot {j} out of range for dimension {d}")
-    if joint_basis is None:
-        lam, nu, V, _ = joint_diagonalize(S, G0)
-    else:
-        V = check_unitary(joint_basis)
-        lam = np.real(np.diag(V.conj().T @ S @ V))
-        nu = np.real(np.diag(V.conj().T @ G0 @ V))
-    if lam[j] - lam[j + 1] <= gap_threshold(lam):
-        raise ValueError(
-            "degenerate S eigenvalues at the pivot: transpose the basis vectors instead"
-        )
-    if nu[j] >= nu[j + 1]:
-        raise ValueError("no inversion at the pivot: nu[j] must be < nu[j+1]")
-    return build_curve(
-        "givens", j, givens_points(V, G0, j), distance_from(norm, S), log_grid(GIVENS_T_MAX)
-    )
-
-
 def _noncommuting_witness(norm, S, G0):
     """The norm-adapted commutator flow exp(tK) G0 exp(-tK), through the
     witness gate, or None.
@@ -224,7 +194,13 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
         j = _first_inversion(lam, nu)
         if j is None:
             return EigCertificate("certified_global", resid, V, True, None, phi0)
-        witness = trim_to_descent(givens_descent_curve(norm, S, G0, j, V))
+        # lam[j] > lam[j+1] with nu[j] < nu[j+1]: rotating the j-th against
+        # the (j+1)-th joint eigenvector strictly shrinks every strictly
+        # convex norm on all of t in (0, pi/2)
+        curve = build_curve(
+            "givens", j, givens_points(V, G0, j), distance_from(norm, S), log_grid(GIVENS_T_MAX)
+        )
+        witness = trim_to_descent(curve)
     verdict = "not_local_min" if witness else "inconclusive"
     return EigCertificate(verdict, resid, V, False, witness, phi0)
 

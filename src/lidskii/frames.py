@@ -416,8 +416,25 @@ class DescentTrace:
     stop: str
 
 
-def _descend(objective, S, a, seeds, opts):
-    """One descent of ``objective`` per seed, in lockstep, in seed order."""
+def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = None):
+    """Descend one seeded restart per entry of ``seeds``, all in lockstep as
+    one ``(B, d, k)`` stack; returns (FrameSequence, DescentTrace) pairs in
+    seed order.  Each restart gives bitwise the result it gives on its own.
+
+    The Frobenius norm descends the squared distance as ``gradient_descent``
+    does.  Every other smooth strictly convex norm descends the norm value
+    (default budget 4000 iterations) with the same retraction,
+    Barzilai-Borwein step and gradient-norm test, and Armijo backtracking on
+    the norm value itself (a step within 1e-15 (1 + value) of the current
+    value is also accepted).  It adds a no-progress stop (see
+    ``DescentTrace``): at an attainable target the norm is not
+    differentiable at the optimum, so the gradient norm does not fall below
+    ``grad_tol`` and without it a descent would run to the budget.
+    """
+    if norm.kind == "frobenius":
+        objective = _kernels.SquaredFrobenius
+    else:
+        objective = _kernels.NormDistance(norm)
     S = as_hermitian(S)
     a = np.asarray(a, dtype=float).ravel()
     _check_norms(a)
@@ -444,21 +461,6 @@ def _descend(objective, S, a, seeds, opts):
     ]
 
 
-def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = None):
-    """Descend one seeded restart per entry of ``seeds``, all in lockstep as
-    one ``(B, d, k)`` stack; returns (FrameSequence, DescentTrace) pairs in
-    seed order.
-
-    The Frobenius norm descends the squared distance as ``gradient_descent``
-    does, every other strictly convex norm the norm value as
-    ``subgradient_descent`` does.  Each restart gives bitwise the result it
-    gives on its own.
-    """
-    if norm.kind == "frobenius":
-        return _descend(_kernels.SquaredFrobenius, S, a, seeds, opts)
-    return _descend(_kernels.NormDistance(norm), S, a, seeds, opts)
-
-
 def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
     """Projected gradient descent for the squared Frobenius frame distance.
 
@@ -471,23 +473,7 @@ def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
     stalls or the iteration budget is spent; the objective trace is
     non-increasing within line-search resolution.  Deterministic per seed.
     """
-    return _descend(_kernels.SquaredFrobenius, S, a, [seed], opts)[0]
-
-
-def subgradient_descent(norm: NormSpec, S, a, seed=0, opts: DescentOptions | None = None):
-    """Riemannian gradient descent on the norm value for smooth strictly
-    convex norms (default budget 4000 iterations).
-
-    Exploration tool for the non-Frobenius conjecture harness.  Same
-    retraction, Barzilai-Borwein step and gradient-norm test as the
-    Frobenius path, with Armijo backtracking on the norm value itself (a
-    step within 1e-15 (1 + value) of the current value is also accepted).
-    It adds a no-progress stop (see ``DescentTrace``): at an attainable
-    target the norm is not differentiable at the optimum, so the gradient
-    norm does not fall below ``grad_tol`` and without it a descent would
-    run to the budget.
-    """
-    return _descend(_kernels.NormDistance(norm), S, a, [seed], opts)[0]
+    return descend_restarts(frobenius(), S, a, [seed], opts)[0]
 
 
 def best_of_restarts(norm: NormSpec, S, a, restarts: int, seed=0, opts=None):

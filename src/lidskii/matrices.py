@@ -1,8 +1,8 @@
 """Dense complex matrix primitives.
 
 Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
-Hermitian and unitary inputs are validated against relative tolerances and
-never mutated; constructors that promise a Hermitian result symmetrize via
+Hermitian inputs are validated against a relative tolerance and never
+mutated; constructors that promise a Hermitian result symmetrize via
 (M + M*)/2.
 
 Conventions used throughout the package:
@@ -17,7 +17,6 @@ Conventions used throughout the package:
 import numpy as np
 
 HERMIT_TOL = 1e-10
-UNITARY_TOL = 1e-10
 NULLSPACE_TOL = 1e-8
 GAP_TOL = 1e-7
 
@@ -94,15 +93,6 @@ def as_hermitian(M, tol: float = HERMIT_TOL) -> np.ndarray:
     if defect > tol * max(frob(M), np.finfo(float).tiny):
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     return (M + M.conj().T) / 2.0
-
-
-def check_unitary(U, tol: float = UNITARY_TOL) -> np.ndarray:
-    U = require_square(U)
-    d = U.shape[0]
-    defect = frob(U.conj().T @ U - np.eye(d))
-    if defect > tol * d:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    return U
 
 
 def eigh(M, tol: float = HERMIT_TOL):

@@ -761,7 +761,8 @@ def prop_descent_structure_nonfrobenius(n_inst, seed):
         a = rng.uniform(0.3, 1.5, k)
         S = np.abs(random_hermitian(d, rng))
         S = (S + S.conj().T) / 2 + 2.0 * np.eye(d)
-        G, tr = frames.subgradient_descent(norm, S, a, seed=int(rng.integers(0, 2**31)))
+        restart = int(rng.integers(0, 2**31))
+        G, tr = frames.descend_restarts(norm, S, a, [restart])[0]
         if tr.grad_norm > 1e-6:
             continue
         checked += 1

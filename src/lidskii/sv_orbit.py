@@ -25,7 +25,6 @@ from .matrices import (
     as_rng,
     check_tol,
     cluster_desc,
-    conj_t,
     frob,
     require_square,
     skew_exp,
@@ -120,15 +119,25 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
     nonzero, diagonalizes those blocks, and takes an SVD of the block over
     the kernel of A.  The blocks are the ``cluster_desc`` groups of s(A),
     the kernel at most ``ZERO_SV_REL * s_1(A)`` (all of it when A = 0).
+    Raises ValueError when a test fails.
     """
     tol = check_tol(tol)
     A, B = _pair(A, B)
-    d = A.shape[0]
     rA, rB = hermitian_residuals(A, B)
     if max(rA, rB) > tol * frob(A) * frob(B):
         raise ValueError(
             f"joint SVD requires Hermitian products: residuals ({rA:.3e}, {rB:.3e})"
         )
+    joint = _joint_blocks(A, B, tol)
+    if isinstance(joint, str):
+        raise ValueError(joint)
+    return joint
+
+
+def _joint_blocks(A, B, tol):
+    """The block stage of ``joint_svd``, after its products test: the
+    JointSVD, or the reason B does not fit A's singular blocks."""
+    d = A.shape[0]
     V0, alpha, U0 = svd(A)
     B1 = V0 @ B @ U0.conj().T
     clusters = cluster_desc(alpha)
@@ -138,7 +147,7 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
         mask[np.ix_(idx, idx)] = True
     off_mass = frob(np.where(mask, 0.0, B1))
     if off_mass > tol * frob(B):
-        raise ValueError(f"off-diagonal block mass {off_mass:.3e} exceeds tolerance")
+        return f"off-diagonal block mass {off_mass:.3e} exceeds tolerance"
     WL = np.zeros((d, d), dtype=np.complex128)
     WR = np.zeros((d, d), dtype=np.complex128)
     beta = np.empty(d)
@@ -147,9 +156,7 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
         if float(np.max(alpha[idx])) > ZERO_SV_REL * alpha[0]:
             herm_defect = frob(blk - blk.conj().T)
             if herm_defect > tol * frob(B):
-                raise ValueError(
-                    f"non-Hermitian diagonal block (defect {herm_defect:.3e})"
-                )
+                return f"non-Hermitian diagonal block (defect {herm_defect:.3e})"
             w, W = np.linalg.eigh((blk + blk.conj().T) / 2.0)
             WL[np.ix_(idx, idx)] = W[:, ::-1]
             WR[np.ix_(idx, idx)] = W[:, ::-1]
@@ -164,28 +171,6 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
     residual_a = frob(U.conj().T @ A @ V - np.diag(alpha))
     residual_b = frob(U.conj().T @ B @ V - np.diag(beta))
     return JointSVD(U, V, alpha, beta, residual_a, residual_b)
-
-
-def phase_descent_curve(norm: NormSpec, A, joint: JointSVD, ell: int) -> DescentCurve:
-    """Curve B(t) = U W(t) D_beta V^H rotating a negative beta entry.
-
-    With beta[ell] < 0 the distance |alpha_ell - e^{it} beta_ell| strictly
-    decreases on [0, pi], so the objective strictly decreases while the
-    singular values of B(t) stay fixed.
-    """
-    A = require_square(A)
-    beta = joint.beta
-    if not beta[ell] < 0:
-        raise ValueError(f"beta[{ell}] = {beta[ell]} is not negative")
-    U, V = joint.U, joint.V
-    Db = np.diag(beta.astype(np.complex128))
-
-    def point(ts):
-        w = np.ones((ts.size, beta.size), dtype=np.complex128)
-        w[:, ell] = np.exp(1j * ts)
-        return U @ (w[:, :, np.newaxis] * Db) @ V.conj().T
-
-    return build_curve("phase", ell, point, distance_from(norm, A), log_grid(np.pi))
 
 
 def _nonhermitian_witness(norm, A, B):
@@ -230,9 +215,9 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     and a Givens curve, lifted by the joint frames, drops it).  Non-Hermitian
     products get a two-sided gradient flow.  Each rejection needs its curve
     to pass ``curves.trim_to_descent`` and is ``inconclusive`` otherwise;
-    products that pass while ``joint_svd`` finds B off A's blocks, or a
-    block of B non-Hermitian, also give ``inconclusive``.  ``seed`` is
-    accepted for compatibility; nothing reads it.
+    products that pass while the block stage of ``joint_svd`` finds B off
+    A's blocks, or a block of B non-Hermitian, also give ``inconclusive``.
+    ``seed`` is accepted for compatibility; nothing reads it.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -244,17 +229,27 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     if max(rA, rB) > tol * scale:
         joint, witness = None, _nonhermitian_witness(norm, A, B)
     else:
-        try:
-            joint = joint_svd(A, B, tol=tol)
-        except ValueError:
+        joint = _joint_blocks(A, B, tol)
+        if isinstance(joint, str):
             # the products pass, but B mixes singular blocks of A, or has a
             # non-Hermitian block, by more than tol |B|_F: there is no joint
             # SVD to certify from
             return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
-        beta = joint.beta
+        U, Vh, beta = joint.U, joint.V.conj().T, joint.beta
+        value = distance_from(norm, A)
         ell = int(np.argmin(beta))
         if beta[ell] < -tol * float(np.max(np.abs(beta))):
-            curve = phase_descent_curve(norm, A, joint, ell)
+            # |alpha_ell - e^{it} beta_ell| strictly decreases on [0, pi], so
+            # turning the phase of the negative entry in B(t) = U W(t) D_beta
+            # V^H drops the objective while the singular values stay fixed
+            Db = np.diag(beta.astype(np.complex128))
+
+            def point(ts):
+                w = np.ones((ts.size, beta.size), dtype=np.complex128)
+                w[:, ell] = np.exp(1j * ts)
+                return U @ (w[:, :, np.newaxis] * Db) @ Vh
+
+            curve = build_curve("phase", ell, point, value, log_grid(np.pi))
         else:
             # beta >= 0: a misordering against alpha is one of the Hermitian
             # diagonal pair, whose Givens rotation the joint frames lift
@@ -264,13 +259,11 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
             if j is None:
                 return SvCertificate("certified_global", (rA, rB), joint, None, psi0)
             rotate = eig_orbit.givens_points(W, Gd, j)
-            U, Vh = joint.U, joint.V.conj().T
 
             def point(ts):
                 return U @ rotate(ts) @ Vh
 
-            ts = log_grid(eig_orbit.GIVENS_T_MAX)
-            curve = build_curve("givens", j, point, distance_from(norm, A), ts)
+            curve = build_curve("givens", j, point, value, log_grid(eig_orbit.GIVENS_T_MAX))
         witness = trim_to_descent(curve)
     verdict = "not_local_min" if witness else "inconclusive"
     return SvCertificate(verdict, (rA, rB), joint, witness, psi0)

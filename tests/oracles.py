@@ -178,7 +178,7 @@ def criterion_09_instances(count: int = 100):
 def _sampled_curve(kind, point, value):
     ts = np.concatenate([[0.0], log_grid(1.0)])
     values = np.array([value(point(t)) for t in ts])
-    return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point, value)
+    return DescentCurve(kind, None, ts, values, float(values[0] - values.min()), point)
 
 
 def eig_witness_flow(norm, S, G0):

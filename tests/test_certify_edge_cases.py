@@ -131,9 +131,15 @@ def test_zero_singular_value_of_A():
     cert = _check_sv(A, aligned, s, "certified_global")
     assert np.allclose(cert.joint.beta, s)
     misaligned = (U * s[::-1]) @ V.conj().T
-    _check_sv(A, misaligned, s, "not_local_min", "givens")
     negative = (U * (s * np.array([1.0, -1.0, 1.0]))) @ V.conj().T
-    _check_sv(A, negative, s, "not_local_min", "phase")
+    for B, kind in ((misaligned, "givens"), (negative, "phase")):
+        curve = _check_sv(A, B, s, "not_local_min", kind).descent_witness
+        # every point of the witness stays on the orbit, and each sampled
+        # value is the objective at that point
+        for t, val in zip(curve.ts, curve.values):
+            Bt = curve.point(float(t))
+            assert np.allclose(np.linalg.svd(Bt, compute_uv=False), s, rtol=0, atol=1e-12)
+            assert val == evaluate(NORM, A - Bt)
 
 
 PAIR_SCALES = ((1e-3, 1.0), (1.0, 1e-3), (1.0, 1.0), (1e3, 1.0), (1.0, 1e3))
@@ -152,9 +158,9 @@ def _sv_verdicts(A, B, tol=1e-8):
 
 
 def test_joint_svd_tests_do_not_depend_on_scale():
-    """A pair that passes the products test is never refused by the block
-    tests of ``joint_svd``, and its verdict does not change when A and B are
-    rescaled separately."""
+    """The block tests of ``joint_svd`` refuse a pair that passes the
+    products test at every scale of A and B or at none, and its verdict does
+    not change when A and B are rescaled separately."""
     phase = np.exp(4e-9j)
     repro = [
         (np.array([[0.5]]), np.array([[phase]])),
@@ -168,6 +174,10 @@ def test_joint_svd_tests_do_not_depend_on_scale():
     # closer to A on the orbit
     A, B = np.diag([1.0, 2e-9]), np.diag([0.1, 5j])
     assert _sv_verdicts(A, B) == ["inconclusive"] * len(PAIR_SCALES)
+    for c, c2 in PAIR_SCALES:
+        assert sv_orbit.certify_local(NORM, c * A, c2 * B).joint is None
+        with pytest.raises(ValueError, match="non-Hermitian diagonal block"):
+            sv_orbit.joint_svd(c * A, c2 * B)
     rng = np.random.default_rng(77)
     for i in range(60):
         d = int(rng.integers(2, 6))

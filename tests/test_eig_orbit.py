@@ -77,25 +77,28 @@ def test_certify_scalar_orbit_S_identity():
 
 
 def test_givens_descent_curve_guards():
+    """The certifier turns two joint eigenvectors only across a strict gap of
+    S with the spectra inverted there."""
     S, G0 = np.diag([3.0, 1.0]), np.diag([0.0, 2.0])
-    curve = eig_orbit.givens_descent_curve(frobenius(), S, G0, 0)
+    curve = eig_orbit.certify_local(frobenius(), S, G0).descent_witness
+    assert curve.kind == "givens" and curve.param == 0
     assert curve.values[0] == pytest.approx(np.sqrt(10))
-    # degenerate S eigenvalues at the pivot are a precondition error
-    with pytest.raises(ValueError):
-        eig_orbit.givens_descent_curve(frobenius(), np.eye(2), np.diag([0.0, 2.0]), 0)
+    # degenerate S eigenvalues at the pivot: every pairing is optimal
+    cert = eig_orbit.certify_local(frobenius(), np.eye(2), np.diag([0.0, 2.0]))
+    assert cert.verdict == "certified_global" and cert.descent_witness is None
     # no inversion at the pivot
-    with pytest.raises(ValueError):
-        eig_orbit.givens_descent_curve(frobenius(), S, np.diag([2.0, 0.0]), 0)
+    cert = eig_orbit.certify_local(frobenius(), S, np.diag([2.0, 0.0]))
+    assert cert.verdict == "certified_global" and cert.descent_witness is None
 
 
 def test_descent_curve_stays_on_orbit():
     S, G0 = np.diag([3.0, 1.0]), np.diag([0.0, 2.0])
-    curve = eig_orbit.givens_descent_curve(frobenius(), S, G0, 0)
+    curve = eig_orbit.certify_local(frobenius(), S, G0).descent_witness
     for t in curve.ts[::8]:
         Gt = curve.point(float(t))
         assert np.allclose(eigvalsh_desc(Gt), [2.0, 0.0], atol=1e-10)
-    Gt, val = curve.sample(0.3)
-    assert val == pytest.approx(evaluate(frobenius(), S - Gt))
+    for t, val in zip(curve.ts, curve.values):
+        assert val == evaluate(frobenius(), S - curve.point(float(t)))
 
 
 def test_certify_noncommuting_finds_witness():

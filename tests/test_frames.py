@@ -18,7 +18,6 @@ from lidskii.frames import (
     random_frame,
     relaxation_minimizer,
     structure_check,
-    subgradient_descent,
     water_fill,
 )
 from lidskii.majorization import sort_desc
@@ -290,10 +289,10 @@ def test_gradient_descent_deterministic_per_seed():
 def test_subgradient_descent_explores_nonfrobenius():
     rng = np.random.default_rng(3)
     S = np.diag([2.0, 1.0]).astype(complex)
-    G, tr = subgradient_descent(schatten(3), S, [1.0, 1.0], seed=4)
+    G, tr = frames.descend_restarts(schatten(3), S, [1.0, 1.0], [4])[0]
     assert tr.objective[-1] <= tr.objective[0] + 1e-12
     with pytest.raises(ValueError):
-        subgradient_descent(spectral(), S, [1.0, 1.0])
+        frames.descend_restarts(spectral(), S, [1.0, 1.0], [0])
 
 
 def test_escape_move_spec_instances():
@@ -353,7 +352,8 @@ def _restart_instance(seed):
     "norm, alone",
     [
         (frobenius(), lambda norm, *args: gradient_descent(*args)),
-        (schatten(3), subgradient_descent),
+        (schatten(3), lambda norm, S, a, seed, opts: frames.descend_restarts(
+            norm, S, a, [seed], opts)[0]),
     ],
     ids=["frobenius", "schatten3"],
 )
@@ -385,7 +385,7 @@ def test_descend_restarts_keeps_seed_order():
 def test_capped_norm_descent_trace_ends_at_the_returned_frame():
     S, a = _restart_instance(8)
     # both descents converge after 33-34 iterations; cap them at 20
-    G, tr = subgradient_descent(schatten(3), S, a, seed=4, opts=DescentOptions(max_iters=20))
+    G, tr = frames.descend_restarts(schatten(3), S, a, [4], DescentOptions(max_iters=20))[0]
     assert tr.stop == "max_iters" and not tr.converged
     assert len(tr.objective) == tr.iterations + 1 == 21
     theta = frame_operator_distance(schatten(3), S, G)
@@ -402,11 +402,11 @@ def test_descent_options_keep_the_objective_budget(monkeypatch):
     monkeypatch.setattr(frames._kernels.SquaredFrobenius, "max_iters", 6)
     S, a = _restart_instance(8)
     init = random_frame(3, a, 4).vectors
-    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(init=init))
+    _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(init=init))[0]
     assert tr.stop == "max_iters" and tr.iterations == 5
     _G, tr = gradient_descent(S, a, opts=DescentOptions(init=init))
     assert tr.stop == "max_iters" and tr.iterations == 6
-    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(max_iters=3))
+    _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(max_iters=3))[0]
     assert tr.stop == "max_iters" and tr.iterations == 3
 
 
@@ -427,7 +427,7 @@ def test_descent_stop_reasons():
     S = np.diag([2.0, 1.0])
     a = np.array([2.0, 1.0])
     critical = np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]])
-    _G, tr = subgradient_descent(schatten(3), S, a, opts=DescentOptions(init=critical))
+    _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(init=critical))[0]
     assert tr.stop == "converged" and tr.iterations == 0
     unshrinkable = DescentOptions(max_iters=10, backtrack=1.0)
     stops = {tr.stop for _G, tr in frames.descend_restarts(schatten(3), S, a, range(8), unshrinkable)}

@@ -11,12 +11,17 @@ Prints one sha256 per output:
   other shows even when the pooled counts do not;
 * ``frame_opt``: the reports of the 16 fod-optimize operations;
 * ``property-suite <scale> seed=<s>``: the suite JSON at small seeds 0 and 1
-  and at medium seed 0.
+  and at medium seed 0;
+* ``descents``: the final θ, ``iterations``, ``stop`` and ``grad_norm`` of
+  acceptance criterion 09's 100 × 8 restarts, from
+  ``tests/oracles.criterion_09_instances`` through ``frames.descend_restarts``,
+  with the count of converged restarts.
 
-The checkout's ``perfbench/workloads.py`` builds the operations and its
-``src/`` supplies lidskii; nothing in the checkout is written, every input
-and report goes to a temporary directory.  Two checkouts that print the same
-lines produce the same bytes on these outputs.
+The checkout's ``perfbench/workloads.py`` builds the operations, its
+``tests/oracles.py`` the descent instances, and its ``src/`` supplies
+lidskii; nothing in the checkout is written, every input and report goes to
+a temporary directory.  Two checkouts that print the same lines produce the
+same bytes on these outputs.
 """
 
 import argparse
@@ -49,16 +54,35 @@ def _run_ops(ops, workdir):
     }
 
 
+def _descents(instances):
+    """sha256 of every restart's final θ, iterations, stop and gradient
+    norm, in instance and seed order, and the count of converged restarts."""
+    from lidskii import frames
+    from lidskii.norms import frobenius
+
+    norm = frobenius()
+    digest = hashlib.sha256()
+    converged = total = 0
+    for S, a, seeds in instances:
+        for G, tr in frames.descend_restarts(norm, S, a, seeds):
+            theta = frames.frame_operator_distance(norm, S, G)
+            digest.update(f"{theta!r} {tr.iterations} {tr.stop} {tr.grad_norm!r}\n".encode())
+            converged += tr.converged
+            total += 1
+    return digest.hexdigest(), f"{converged}/{total}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", help="root of a lidskii checkout")
     root = os.path.abspath(ap.parse_args(argv).checkout)
     src = os.path.join(root, "src")
-    sys.path[:0] = [src, os.path.join(root, "perfbench")]
+    sys.path[:0] = [src, os.path.join(root, "perfbench"), os.path.join(root, "tests")]
 
     import lidskii
     from lidskii import cli
 
+    import oracles
     import workloads
 
     if not os.path.abspath(lidskii.__file__).startswith(src + os.sep):
@@ -82,6 +106,8 @@ def main(argv=None):
             with open(out, "rb") as fh:
                 sha = hashlib.sha256(fh.read()).hexdigest()
             print(f"property-suite {scale} seed={seed} {sha} exit={code}")
+    sha, converged = _descents(oracles.criterion_09_instances())
+    print(f"descents {sha} converged={converged}")
 
 
 if __name__ == "__main__":
