@@ -3,14 +3,18 @@
 A frame configuration is a sequence of k vectors in C^d with prescribed
 squared norms a_i; its frame operator is the PSD matrix sum of the rank-one
 outer products.  The objective is norm(S - S_G) for a fixed PSD target S.
-This module provides the water-filling PSD relaxation lower bound, its
-Schur-Horn frame where the bound is attained, the structural tests every
+This module provides the water-filling PSD relaxation lower bound, the
+closed-form minimizer (``relaxation_minimizer``), the structural tests every
 local minimizer must pass (each vector an eigenvector of S - S_G, commuting
 spectra, aligned eigenvalues, per-cluster linear independence), the escape
 construction off dependent clusters, the global-optimality certificate for
 the single-eigenvalue case, and projected gradient descent on the spheres,
-which runs seeded restarts in lockstep (``descend_restarts``,
-``best_of_restarts``).
+which runs seeded restarts in lockstep (``descend_restarts``).
+
+The minimizer is the Schur-Horn frame, in S's eigenbasis, for the spectrum
+mu that ``_optimal_spectrum`` water-fills blockwise.  That mu is optimal for
+norms other than Frobenius is measured, not proven: in Schatten 3 and 1.5 it
+equals the best block partition and no seeded descent beats it (``tests``).
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import build_curve, trim_to_descent
-from .majorization import majorizes, sort_desc
+from .majorization import sort_desc
 from .matrices import (
     NULLSPACE_TOL,
     as_hermitian,
@@ -133,16 +137,15 @@ def water_fill(lam, t: float):
     if not 0 < t < np.inf:
         raise ValueError(f"total mass must be positive and finite, got {t}")
     lam = np.maximum(sort_desc(lam), 0.0)
-    d = lam.size
-    prefix = np.cumsum(lam)
-    c = (prefix[-1] - t) / d
-    for r in range(1, d):
-        cr = (prefix[r - 1] - t) / r
-        if cr >= lam[r]:
-            c = cr
-            break
-    spectrum = np.maximum(lam - c, 0.0)
-    return float(c), spectrum
+    c = _level(lam, t)
+    return c, np.maximum(lam - c, 0.0)
+
+
+def _level(lam, t):
+    """The water level of a non-increasing ``lam`` at mass t: as
+    sum (lam_i - c)^+ >= lam_1 + ... + lam_r - r c for every r, with equality
+    where the filled entries end, it is max_r (lam_1 + ... + lam_r - t) / r."""
+    return float(np.max((np.cumsum(lam) - t) / np.arange(1, lam.size + 1)))
 
 
 def psd_lower_bound(norm: NormSpec, S, t: float):
@@ -154,52 +157,68 @@ def psd_lower_bound(norm: NormSpec, S, t: float):
     with sum a_i = t.
     """
     S = as_hermitian(S)
-    V, spec = _relaxation(S, t)
+    lam, V = _psd_eigh(S)
+    _c, spec = water_fill(lam, t)
     Aop = (V * spec[np.newaxis, :]) @ V.conj().T
     Aop = (Aop + Aop.conj().T) / 2.0
     return evaluate(norm, S - Aop), Aop
 
 
-def _relaxation(S, t):
-    """The eigenbasis of a PSD S (non-increasing) and its water-filled
-    spectrum (lam(S) - c)^+ at total mass t, in that order."""
+def _psd_eigh(S):
+    """``eigh`` of a PSD S, its eigenvalues clipped at 0 (ValueError if not PSD)."""
     lam, V = eigh(S)
     if lam[-1] < -1e-10 * abs(lam[0]):
         raise ValueError("target must be positive semidefinite")
-    _c, spec = water_fill(np.maximum(lam, 0.0), t)
-    return V, spec
+    return np.maximum(lam, 0.0), V
 
 
-def relaxation_minimizer(S, a) -> FrameSequence | None:
-    """A frame whose operator is the minimizer of ``psd_lower_bound``, or None.
+def relaxation_minimizer(S, a) -> FrameSequence:
+    """The frame with squared norms a whose operator is closest to S.
 
     The frame operators of k vectors with squared norms a are the PSD
-    matrices whose spectrum, padded with zeros to length k, majorizes a
-    (Antezana, Massey, Ruiz, Stojanoff, Illinois J. Math. 2007).  So when a
-    is majorized by the water-filled spectrum of S at t = sum a, padded or
-    truncated to length k, the relaxation bound is attained for every norm,
-    by G = V_S diag(sqrt(lam')) W with W real orthogonal and
-    diag(W^T diag(lam') W) = a (``_schur_horn_rotation``); a truncation
-    that drops mass fails the test.  The test compares a / t with lam' / t,
-    so (cS, ca) gets the decision of (S, a) at every scale c.  Returns None
-    when a is not majorized; raises ValueError for a non-PSD S.
+    matrices whose spectrum mu, padded with zeros to length k, majorizes a
+    (Antezana, Massey, Ruiz, Stojanoff, Illinois J. Math. 2007), and by
+    Lidskii the best of them with spectrum mu shares S's eigenbasis.  So the
+    frame is G = V_S diag(sqrt(mu)) W for ``_optimal_spectrum``'s mu, with W
+    real orthogonal and diag(W^T diag(mu) W) = a (``_schur_horn_rotation``).
+    When a is majorized by the water-filled spectrum of S, mu is that
+    spectrum and G attains ``psd_lower_bound``.  Raises ValueError for a
+    non-PSD S.
     """
-    S = as_hermitian(S)
     a = np.asarray(a, dtype=float).ravel()
     _check_norms(a)
-    t = float(np.sum(a))
-    V, spec = _relaxation(S, t)
-    m = min(spec.size, a.size)
-    lam = np.zeros(a.size)
-    lam[:m] = spec[:m]
-    if not majorizes(lam / t, a / t).holds:
-        return None
-    W = _schur_horn_rotation(lam, a)
-    G = (V[:, :m] * np.sqrt(lam[:m])) @ W[:m]
-    # the sphere retraction of the descents: a norm off by rounding, or by
-    # the majorization test's tolerance, is put back on its sphere
+    lam, V = _psd_eigh(S)
+    mu = _optimal_spectrum(lam, a)
+    m = mu.size
+    W = _schur_horn_rotation(np.pad(mu, (0, a.size - m)), a)
+    G = (V[:, :m] * np.sqrt(mu)) @ W[:m]
+    # the sphere retraction of the descents: a norm off by the rounding of
+    # mu's partial sums is put back on its sphere
     G *= np.sqrt(a / np.sum(np.abs(G) ** 2, axis=0))
     return FrameSequence(G, a)
+
+
+def _optimal_spectrum(lam, a):
+    """The non-increasing mu >= 0 of length m = min(d, k) closest to lam[:m]
+    (``lam`` the clipped spectrum of S) whose partial sums are at least
+    those, B_j, of a sorted non-increasingly, and whose total is sum(a).
+
+    By the KKT conditions mu water-fills consecutive blocks of lam, at
+    levels that do not decrease from block to block.  From p on, the block
+    ends at the largest j whose water level of lam[p:j] at mass B_j - B_p is
+    the least; the last block takes the rest of sum(a), summed in a's own
+    order as ``psd_lower_bound`` sums it.  One block is the water-filled
+    spectrum.
+    """
+    m = min(lam.size, a.size)
+    bounds = np.append(np.cumsum(sort_desc(a))[: m - 1], np.sum(a))
+    mu, p, filled = np.empty(m), 0, 0.0
+    while p < m:
+        levels = np.array([_level(lam[p:j], bounds[j - 1] - filled) for j in range(p + 1, m + 1)])
+        j = p + 1 + int(np.flatnonzero(levels == levels.min())[-1])
+        mu[p:j] = np.maximum(lam[p:j] - levels[j - p - 1], 0.0)
+        p, filled = j, bounds[j - 1]
+    return mu
 
 
 def _schur_horn_rotation(lam, a):
@@ -208,28 +227,27 @@ def _schur_horn_rotation(lam, a):
 
     With b = a sorted non-increasingly and x the current diagonal (first
     ``lam``), each step is a T-transform (Marshall and Olkin, *Inequalities*,
-    2.B.1): j is the last index with x_j > b_j, l the first index after j
-    with x_l < b_l, and a Givens rotation in the (j, l) plane moves
-    min(x_j - b_j, b_l - x_l) from x_j to x_l.  x stays non-increasing and
-    majorizes b, and each step sets one more entry to b, so at most k - 1
-    steps are taken.  Every set of coordinates joined by earlier rotations
-    holds at most one unmatched entry, so entry (j, l) of W^T diag(lam) W
-    is still 0 and the rotation changes only x_j and x_l.  The columns are
-    put back in the order of ``a``.
+    2.B.1): j is the last index with x_j > b_j before the last x_l < b_l
+    (a surplus after it is rounding, as the totals agree), l the first
+    index after j with x_l < b_l, and a Givens rotation in the (j, l) plane
+    moves min(x_j - b_j, b_l - x_l) from x_j to x_l.  x stays
+    non-increasing and majorizes b, and each step sets one more entry to b,
+    so at most k - 1 steps are taken.  Every set of coordinates joined by
+    earlier rotations holds at most one unmatched entry, so entry (j, l) of
+    W^T diag(lam) W is still 0 and the rotation changes only x_j and x_l.
+    The columns are put back in the order of ``a``.
     """
     order = np.argsort(-a, kind="stable")
     b = a[order]
     x = np.array(lam, dtype=float)
     W = np.eye(a.size)
     for _ in range(a.size - 1):
-        above = np.flatnonzero(x > b)
+        below = np.flatnonzero(x < b)
+        above = np.flatnonzero(x[: below[-1]] > b[: below[-1]]) if below.size else below
         if above.size == 0:
             break
         j = above[-1]
-        below = np.flatnonzero(x[j + 1:] < b[j + 1:])
-        if below.size == 0:  # a is majorized only within the test's tolerance
-            break
-        l = j + 1 + below[0]
+        l = below[below > j][0]
         over, under = x[j] - b[j], b[l] - x[l]
         delta = min(over, under)
         s2 = delta / (x[j] - x[l])
@@ -474,21 +492,6 @@ def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
     non-increasing within line-search resolution.  Deterministic per seed.
     """
     return descend_restarts(frobenius(), S, a, [seed], opts)[0]
-
-
-def best_of_restarts(norm: NormSpec, S, a, restarts: int, seed=0, opts=None):
-    """Descend the restarts seeded seed, seed + 1, ... in lockstep and keep
-    the configuration with the smallest frame distance in the requested
-    norm (the lowest seed on ties); returns it with its trace, distance and
-    restart index."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    results = descend_restarts(norm, S, a, range(int(seed), int(seed) + restarts), opts)
-    V = np.stack([G.vectors for G, _ in results])
-    values = evaluate(norm, as_hermitian(S) - _gram(V))
-    best = int(np.argmin(values))
-    G, tr = results[best]
-    return G, tr, float(values[best]), best
 
 
 def escape_move(S, G0: FrameSequence, cluster_index: int):

@@ -9,8 +9,10 @@ certifiers' gradient flows are sampled one curve point at a time (the
 library samples a whole curve as one stack), the spectrum samplers run one
 sample at a time, the eigenvalue-orbit sampler runs as one stack (the
 library works it in blocks on a thread pool), the singular-value-orbit
-sampler draws one Haar unitary at a time, and the frame descents run one restart at a time on 2-d arrays
-(the library descends a stack of restarts in lockstep).
+sampler draws one Haar unitary at a time, the frame descents run one restart at a time on 2-d arrays
+(the library descends a stack of restarts in lockstep), and the optimal
+frame spectrum is taken over every partition into water-filled blocks (the
+library chooses each block greedily).
 ``criterion_09_instances`` repeats the draws of acceptance criterion 09.
 """
 
@@ -169,6 +171,40 @@ def criterion_09_instances(count: int = 100):
         seeds = [int(rng.integers(0, 2**31)) for _r in range(8)]
         instances.append(((S + S.conj().T) / 2, a, seeds))
     return instances
+
+
+def optimal_spectrum_enumerated(norms, lam, a, tol=1e-12):
+    """Least gauge of lam - mu (mu padded with zeros to len(lam)) over the
+    block candidates for the frame spectrum, one value per norm.
+
+    With m = min(d, k) and B_j the partial sums of a sorted non-increasingly
+    (B_m taken as sum(a)), each of the 2^(m-1) partitions of 0..m-1 into
+    consecutive blocks water-fills lam on the block from p to j (by
+    bisection) at mass B_j - B_p.  A candidate counts when it is
+    non-increasing and its partial sums are at least the B_j, both within
+    ``tol * sum(a)``.
+    """
+    lam = sort_desc(np.maximum(lam, 0.0))
+    m = min(lam.size, len(a))
+    total = float(np.sum(a))
+    bounds = np.concatenate([[0.0], np.cumsum(sort_desc(a))[: m - 1], [total]])
+    fills = {
+        (p, j): water_fill_bisect(lam[p:j], bounds[j] - bounds[p])[1]
+        for p in range(m)
+        for j in range(p + 1, m + 1)
+    }
+    best = np.full(len(norms), np.inf)
+    for mask in range(2 ** (m - 1)):
+        cuts = [0] + [j for j in range(1, m) if mask >> (j - 1) & 1] + [m]
+        mu = np.concatenate([fills[p, j] for p, j in zip(cuts, cuts[1:])])
+        if np.any(np.diff(mu) > tol * total):
+            continue
+        if np.any(np.cumsum(mu)[: m - 1] < bounds[1:m] - tol * total):
+            continue
+        diff = lam.copy()
+        diff[:m] -= mu
+        best = np.minimum(best, [float(gauge_from_eigs(norm, diff)) for norm in norms])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_criterion_09_fod_descent_structure():
     rng = as_rng(109)
     norm = frobenius()
     ok = True
-    converged = checked_special = 0
+    converged = checked_special = at_closed_form = 0
     for _ in range(100):
         d = int(rng.integers(2, 5))
         k = int(rng.integers(d, d + 3))
@@ -257,10 +257,16 @@ def test_criterion_09_fod_descent_structure():
         S = (S + S.conj().T) / 2
         bound, _ = frames.psd_lower_bound(norm, S, float(np.sum(a)))
         seeds = [int(rng.integers(0, 2**31)) for _r in range(8)]
+        theta_star = frames.frame_operator_distance(norm, S, frames.relaxation_minimizer(S, a))
         for G, tr in frames.descend_restarts(norm, S, a, seeds):
             if tr.grad_norm >= 1e-9:
                 continue
             converged += 1
+            # every converged descent reaches the closed form's global minimum
+            if abs(frames.frame_operator_distance(norm, S, G) - theta_star) <= 1e-9 * theta_star:
+                at_closed_form += 1
+            else:
+                ok = False
             report = frames.structure_check(norm, S, G, tol=1e-6)
             if report.verdict != "consistent_with_local_min":
                 ok = False
@@ -273,7 +279,8 @@ def test_criterion_09_fod_descent_structure():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300 and converged > 0
     _report(9, "descent structure, 100 cfg x 8 restarts", ok, elapsed,
-            f"converged {converged}/800, special-case hits {checked_special}")
+            f"converged {converged}/800, special-case hits {checked_special}, "
+            f"at closed form {at_closed_form}/800")
 
 
 def test_criterion_10_escape_move_validity():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import criterion_09_instances, water_fill_bisect
+from oracles import criterion_09_instances, optimal_spectrum_enumerated, water_fill_bisect
 from lidskii import frames
 from lidskii.frames import (
     SPHERE_TOL,
@@ -144,17 +144,27 @@ def _rotated(lam, rng):
 
 
 def test_relaxation_minimizer_on_criterion_09_configurations():
-    returned = set()
-    for i, (S, a, _seeds) in enumerate(criterion_09_instances()):
+    """Every configuration gets a frame that passes the structure check.
+    The majorized ones attain the relaxation bound; the other eight sit
+    above it, no worse than the best of their 8 seeded restarts."""
+    norm = frobenius()
+    for i, (S, a, seeds) in enumerate(criterion_09_instances()):
         G = relaxation_minimizer(S, a)
-        if G is None:
-            continue
-        returned.add(i)
         assert np.array_equal(G.norms, a)
-        _assert_attains_bound(S, G)
-        assert structure_check(frobenius(), S, G).verdict == "consistent_with_local_min"
-        assert certify_uniform_eigenvalue(frobenius(), S, G) == "certified_global"
-    assert returned == set(range(100)) - NOT_MAJORIZED
+        assert structure_check(norm, S, G).verdict == "consistent_with_local_min"
+        if i not in NOT_MAJORIZED:
+            _assert_attains_bound(S, G)
+            assert certify_uniform_eigenvalue(norm, S, G) == "certified_global"
+            continue
+        assert np.max(G.sphere_residuals()) <= SPHERE_TOL
+        theta = frame_operator_distance(norm, S, G)
+        bound, _ = psd_lower_bound(norm, S, float(np.sum(a)))
+        assert theta > bound * (1 + 1e-9), i
+        best = min(
+            frame_operator_distance(norm, S, g)
+            for g, _tr in frames.descend_restarts(norm, S, a, seeds)
+        )
+        assert theta <= best * (1 + 1e-9), i
 
 
 def test_relaxation_minimizer_degenerate_inputs():
@@ -169,8 +179,10 @@ def test_relaxation_minimizer_degenerate_inputs():
     assert np.allclose(frame_operator(G), np.diag([1.5, 0.5, 0.0, 0.0]), atol=1e-14)
     _assert_attains_bound(S, G)
     # ... but not when a truncation to k drops mass: at t = 4 the spectrum
-    # (7/3, 4/3, 1/3, 0) has rank 3 > k = 2
-    assert relaxation_minimizer(S, [2.0, 2.0]) is None
+    # (7/3, 4/3, 1/3, 0) has rank 3 > k = 2, so the top two eigenvalues
+    # take all of it
+    G = relaxation_minimizer(S, [2.0, 2.0])
+    assert np.allclose(frame_operator(G), np.diag([2.5, 1.5, 0.0, 0.0]), atol=1e-14)
     # a is the water-filled spectrum (3, 2, 1) itself, permuted: W is a
     # permutation and each vector a scaled eigenvector of S
     G = relaxation_minimizer(np.diag([4.0, 3.0, 2.0]), [1.0, 3.0, 2.0])
@@ -191,12 +203,75 @@ def test_relaxation_minimizer_degenerate_inputs():
         G = relaxation_minimizer(S, a)
         _assert_attains_bound(S, G)
         assert structure_check(frobenius(), S, G).verdict == "consistent_with_local_min"
-    # not majorized: (1.5, 0.5) against the spectrum (1, 1)
-    assert relaxation_minimizer(2.0 * np.eye(2), [1.5, 0.5]) is None
+    # not majorized: (1.5, 0.5) against the water-filled (1, 1); the frame
+    # spectrum is a itself
+    G = relaxation_minimizer(2.0 * np.eye(2), [1.5, 0.5])
+    assert np.allclose(eigvalsh_desc(frame_operator(G)), [1.5, 0.5], atol=1e-14)
     with pytest.raises(ValueError, match="positive semidefinite"):
         relaxation_minimizer(np.diag([1.0, -1.0]), [1.0, 1.0])
     with pytest.raises(ValueError, match="positive and finite"):
         relaxation_minimizer(np.eye(2), [1.0, np.nan])
+
+
+SPECTRUM_NORMS = (frobenius(), schatten(3), schatten(1.5))
+
+
+def _spectrum_instances(count, seed, d_range=(1, 7), k_offsets=(-2, 4)):
+    """``count`` seeded (lam, a): lam non-increasing on [0, 3], with trailing
+    zeros one time in three, and k - d drawn from ``k_offsets`` (k >= 1);
+    a on [0.3, 1.5] with up to two squared norms inflated x1.5-6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(*d_range))
+        k = int(rng.integers(max(1, d + k_offsets[0]), d + k_offsets[1]))
+        lam = sort_desc(rng.uniform(0, 3, d))
+        if rng.random() < 1 / 3:
+            lam[rng.integers(0, d):] = 0.0
+        a = rng.uniform(0.3, 1.5, k)
+        for i in rng.choice(k, size=int(rng.integers(0, min(k, 2) + 1)), replace=False):
+            a[i] *= rng.uniform(1.5, 6)
+        yield lam, a, _rotated(lam, rng)
+
+
+def test_relaxation_minimizer_matches_block_enumeration():
+    """The closed form's frame distance, and so ``_optimal_spectrum``'s mu,
+    equals the least over every partition of the spectrum into water-filled
+    blocks, for Frobenius, Schatten 3 and Schatten 1.5, on 320 instances
+    with d = 1-6 and k = d-2 ... d+3.  At least 100 of them are not
+    majorized: their frames sit above the relaxation bound."""
+    above_bound = 0
+    for lam, a, S in _spectrum_instances(320, 31):
+        G = relaxation_minimizer(S, a)
+        assert np.max(G.sphere_residuals()) <= SPHERE_TOL
+        best = optimal_spectrum_enumerated(SPECTRUM_NORMS, lam, a)
+        for norm, value in zip(SPECTRUM_NORMS, best):
+            theta = frame_operator_distance(norm, S, G)
+            assert abs(theta - value) <= 1e-12 * value, (lam, a, norm.kind)
+        bound, _ = psd_lower_bound(frobenius(), S, float(np.sum(a)))
+        above_bound += bool(best[0] > bound * (1 + 1e-9))
+    assert above_bound >= 100
+
+
+def test_relaxation_minimizer_is_no_worse_than_descents():
+    """That mu is optimal for norms other than Frobenius is measured, not
+    proven: on 40 instances that are not majorized (d = 2-4, k = d-1 ...
+    d+2), no seeded descent in Schatten 3 or 1.5 beats the closed form."""
+    checked = 0
+    for _lam, a, S in _spectrum_instances(200, 32, d_range=(2, 5), k_offsets=(-1, 3)):
+        G = relaxation_minimizer(S, a)
+        bound, _ = psd_lower_bound(frobenius(), S, float(np.sum(a)))
+        if frame_operator_distance(frobenius(), S, G) <= bound * (1 + 1e-9):
+            continue
+        for norm in SPECTRUM_NORMS[1:]:
+            best = min(
+                frame_operator_distance(norm, S, g)
+                for g, _tr in frames.descend_restarts(norm, S, a, range(8))
+            )
+            assert frame_operator_distance(norm, S, G) <= best * (1 + 1e-9), (a, norm.kind)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
 
 
 def test_schur_horn_rotation_prescribes_the_diagonal():
@@ -357,19 +432,17 @@ def _restart_instance(seed):
     ],
     ids=["frobenius", "schatten3"],
 )
-def test_best_of_restarts_matches_restarts_run_alone(norm, alone):
+def test_descend_restarts_matches_restarts_run_alone(norm, alone):
     S, a = _restart_instance(6)
     opts = DescentOptions(max_iters=600)
-    G, tr, theta, best = frames.best_of_restarts(norm, S, a, restarts=4, seed=11, opts=opts)
-    runs = [alone(norm, S, a, 11 + i, opts) for i in range(4)]
-    values = [frame_operator_distance(norm, S, g) for g, _ in runs]
-    assert best == int(np.argmin(values)) and theta == values[best]
-    G1, tr1 = runs[best]
-    assert np.array_equal(G.vectors, G1.vectors)
-    assert np.array_equal(tr.objective, tr1.objective)
-    assert (tr.grad_norm, tr.iterations, tr.converged, tr.stop) == (
-        tr1.grad_norm, tr1.iterations, tr1.converged, tr1.stop
-    )
+    seeds = range(11, 15)
+    for seed, (G, tr) in zip(seeds, frames.descend_restarts(norm, S, a, seeds, opts)):
+        G1, tr1 = alone(norm, S, a, seed, opts)
+        assert np.array_equal(G.vectors, G1.vectors)
+        assert np.array_equal(tr.objective, tr1.objective)
+        assert (tr.grad_norm, tr.iterations, tr.converged, tr.stop) == (
+            tr1.grad_norm, tr1.iterations, tr1.converged, tr1.stop
+        )
 
 
 def test_descend_restarts_keeps_seed_order():

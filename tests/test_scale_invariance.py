@@ -88,22 +88,24 @@ def test_dependent_cluster_verdict_is_scale_and_rotation_free():
         assert len(failed) == 1, (i, failed)
 
 
-def test_relaxation_minimizer_decision_is_scale_and_rotation_free():
-    """The closed form tests a / t against the water-filled spectrum / t, so
-    (cS, ca) and a conjugated S get the decision of (S, a).  The first 24
-    criterion-09 configurations hold three that are not majorized; a equal
-    to the spectrum (3, 2, 1) of diag(4, 3, 2) at t = 6 sits on the
-    boundary."""
+def test_relaxation_minimizer_is_scale_and_rotation_equivariant():
+    """theta(c U S U^H, c a) = c theta(S, a) for the closed form.  The first
+    24 criterion-09 configurations hold three that are not majorized (5, 13,
+    23); a equal to the spectrum (3, 2, 1) of diag(4, 3, 2) at t = 6 sits on
+    the boundary."""
     rng = np.random.default_rng(41)
     instances = [(S, a) for S, a, _seeds in criterion_09_instances(24)]
     instances.append((np.diag([4.0, 3.0, 2.0]), np.array([1.0, 3.0, 2.0])))
     for i, (S, a) in enumerate(instances):
-        expect_none = i in (5, 13, 23)
+        G = frames.relaxation_minimizer(S, a)
+        base = [frames.frame_operator_distance(norm, S, G) for norm in NORMS]
         for c, U in _variants(S.shape[0], rng):
-            G = frames.relaxation_minimizer(c * _conj(U, S), c * a)
-            assert (G is None) == expect_none, (i, c, U is not None)
-            if G is not None:
-                assert np.max(G.sphere_residuals()) <= frames.SPHERE_TOL
+            Sc = c * _conj(U, S)
+            G = frames.relaxation_minimizer(Sc, c * a)
+            assert np.max(G.sphere_residuals()) <= frames.SPHERE_TOL
+            for norm, theta in zip(NORMS, base):
+                err = abs(frames.frame_operator_distance(norm, Sc, G) - c * theta)
+                assert err <= 1e-12 * c * theta, (i, c, U is not None, norm.kind)
 
 
 def test_small_misordered_pair_is_rejected():

@@ -9,7 +9,10 @@ Prints one sha256 per output:
   the count of each exit code per operation kind (``certify-eig``,
   ``certify-sv``, ...), so a verdict that moves from one certifier to the
   other shows even when the pooled counts do not;
-* ``frame_opt``: the reports of the 16 fod-optimize operations;
+* ``frame_opt``: the reports of the 16 fod-optimize operations, then one
+  ``frame_opt op=<i>`` line per operation with the first 16 hex digits of
+  the sha256 of its exit code and report, so a change shows which
+  operations it moved;
 * ``property-suite <scale> seed=<s>``: the suite JSON at small seeds 0 and 1
   and at medium seed 0;
 * ``descents``: the final θ, ``iterations``, ``stop`` and ``grad_norm`` of
@@ -38,20 +41,23 @@ SUITES = (("small", 0), ("small", 1), ("medium", 0))
 
 def _run_ops(ops, workdir):
     """Run each operation; returns the sha256 of its exit codes and reports,
-    and the count of each exit code per operation kind."""
+    the count of each exit code per operation kind, and the sha256 of each
+    operation's exit code and report alone."""
     digest = hashlib.sha256()
     codes = collections.defaultdict(collections.Counter)
+    per_op = []
     out = os.path.join(workdir, "out.json")
     for op in ops:
         code = op.run()
         codes[op.kind][code] += 1
         with open(out, "rb") as fh:
             report = fh.read()
-        digest.update(f"{op.kind} {code}\n".encode())
-        digest.update(report)
+        record = f"{op.kind} {code}\n".encode() + report
+        digest.update(record)
+        per_op.append(hashlib.sha256(record).hexdigest())
     return digest.hexdigest(), {
         kind: dict(sorted(counts.items())) for kind, counts in sorted(codes.items())
-    }
+    }, per_op
 
 
 def _descents(instances):
@@ -91,13 +97,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for seed in CERTIFY_SEEDS:
             work = os.path.join(tmp, f"certify-{seed}")
-            sha, codes = _run_ops(workloads.certify_ops(seed, work, CERTIFY_INSTANCES), work)
+            sha, codes, _ = _run_ops(workloads.certify_ops(seed, work, CERTIFY_INSTANCES), work)
             print(f"certify seed={seed} {sha} exits={codes}")
         work = os.path.join(tmp, "frame_opt")
-        sha, codes = _run_ops(
+        sha, codes, per_op = _run_ops(
             workloads.frame_opt_ops(0, work, workloads.FRAME_CORPUS_SIZE), work
         )
         print(f"frame_opt {sha} exits={codes}")
+        for i, op_sha in enumerate(per_op):
+            print(f"frame_opt op={i} {op_sha[:16]}")
         out = os.path.join(tmp, "suite.json")
         for scale, seed in SUITES:
             code = cli.main(
