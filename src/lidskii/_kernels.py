@@ -125,6 +125,13 @@ class NormDistance:
         return np.maximum(F - needed, up)
 
 
+def _riemannian_gradient(objective, X, G, a):
+    """RG, the Euclidean gradient minus its radial part, and |RG|^2 per frame."""
+    EG = objective.gradient(X, G)
+    RG = EG - G * (np.add.reduce((np.conj(EG) * G).real, axis=-2, keepdims=True) / a)
+    return RG, np.add.reduce(np.square(np.abs(RG)), axis=(-2, -1))
+
+
 def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtrack):
     """Projected gradient descent of every frame in a ``(B, d, k)`` stack.
 
@@ -195,10 +202,7 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
         )
 
     for it in range(max_iters):
-        EG = objective.gradient(X, G)
-        tang = np.add.reduce((np.conj(EG) * G).real, axis=-2, keepdims=True) / a
-        RG = EG - G * tang
-        g2 = np.add.reduce(np.square(np.abs(RG)), axis=(-2, -1))
+        RG, g2 = _riemannian_gradient(objective, X, G, a)
         gnorm = np.sqrt(g2)
         # the stack is small: any/all over tolist() beat NumPy's reductions
         done = gnorm < grad_tol

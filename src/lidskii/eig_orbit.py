@@ -172,13 +172,13 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
 
     For strictly convex norms local minimizers coincide with global ones:
     the certificate is ``certified_global`` iff the pair commutes, that is
-    ``|[S, G0]|_F <= tol * |S|_F |G0|_F`` (a test that does not change when
-    S or G0 is rescaled), and the spectra are monotonically aligned in a
-    joint basis, up to degeneracy clusters.  A misaligned commuting
+    ``|[S, G0]|_F <= tol * |S|_F |G0|_F`` (scale-free), and the spectra are
+    monotonically aligned in a joint basis, up to degeneracy clusters; one
+    that leaves more than ``tol * |G0|_F`` off the diagonal gives
+    ``inconclusive``, as in ``sv_orbit``.  A misaligned commuting
     candidate is rejected with a Givens curve, a non-commuting one with its
     commutator flow; either is ``inconclusive`` when its curve does not
-    pass ``trim_to_descent``.  ``seed`` is accepted for compatibility;
-    nothing reads it.
+    pass ``trim_to_descent``.  ``seed`` is accepted; nothing reads it.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -190,7 +190,9 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
     if resid > tol * scale:
         V, witness = None, _noncommuting_witness(norm, S, G0)
     else:
-        lam, nu, V, _ = joint_diagonalize(S, G0)
+        lam, nu, V, off = joint_diagonalize(S, G0)
+        if off > tol * frob(G0):
+            return EigCertificate("inconclusive", resid, None, False, None, phi0)
         j = _first_inversion(lam, nu)
         if j is None:
             return EigCertificate("certified_global", resid, V, True, None, phi0)

@@ -12,9 +12,9 @@ the single-eigenvalue case, and projected gradient descent on the spheres,
 which runs seeded restarts in lockstep (``descend_restarts``).
 
 The minimizer is the Schur-Horn frame, in S's eigenbasis, for the spectrum
-mu that ``_optimal_spectrum`` water-fills blockwise.  That mu is optimal for
-norms other than Frobenius is measured, not proven: in Schatten 3 and 1.5 it
-equals the best block partition and no seeded descent beats it (``tests``).
+mu that ``_optimal_spectrum`` water-fills blockwise (first-order check:
+``gradient_norm``).  Beyond Frobenius its optimality is measured, not proven:
+in Schatten 3 and 1.5 it is the best block partition; no descent beats it.
 """
 
 from dataclasses import dataclass
@@ -404,14 +404,12 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
 @dataclass
 class DescentOptions:
     """Descent settings; ``max_iters`` None is the objective's own budget
-    (20000 iterations for the squared Frobenius distance, 4000 for another
-    norm), ``init`` None starts each restart from its seeded random frame."""
+    (20000 iterations for the squared Frobenius distance, 4000 for a norm)."""
 
     max_iters: int | None = None
     grad_tol: float = 1e-9
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    init: np.ndarray | None = None
 
 
 @dataclass
@@ -449,21 +447,13 @@ def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = 
     differentiable at the optimum, so the gradient norm does not fall below
     ``grad_tol`` and without it a descent would run to the budget.
     """
-    if norm.kind == "frobenius":
-        objective = _kernels.SquaredFrobenius
-    else:
-        objective = _kernels.NormDistance(norm)
+    objective = _objective(norm)
     S = as_hermitian(S)
     a = np.asarray(a, dtype=float).ravel()
     _check_norms(a)
     opts = opts or DescentOptions()
     max_iters = objective.max_iters if opts.max_iters is None else opts.max_iters
-    seeds = list(seeds)
-    if opts.init is not None:
-        G0 = frame(opts.init, a).validate().vectors
-        G0 = np.repeat(G0[np.newaxis], len(seeds), axis=0)
-    else:
-        G0 = np.stack([random_frame(S.shape[0], a, s).vectors for s in seeds])
+    G0 = np.stack([random_frame(S.shape[0], a, s).vectors for s in seeds])
     G, traces, gnorms, stops = _kernels.lockstep_descent(
         objective, S, G0, a, max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack
     )
@@ -477,6 +467,18 @@ def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = 
         )
         for i, (trace, stop) in enumerate(zip(traces, stops))
     ]
+
+
+def _objective(norm: NormSpec):
+    """The descent objective: the squared distance for Frobenius, else the norm."""
+    return _kernels.SquaredFrobenius if norm.kind == "frobenius" else _kernels.NormDistance(norm)
+
+
+def gradient_norm(norm: NormSpec, S, G: FrameSequence) -> float:
+    """The descent's gradient norm at G, bitwise its iteration 0 from G."""
+    V = np.ascontiguousarray(G.vectors)[np.newaxis]
+    X = as_hermitian(S) - V @ conj_t(V)
+    return float(np.sqrt(_kernels._riemannian_gradient(_objective(norm), X, V, G.norms)[1][0]))
 
 
 def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):

@@ -300,6 +300,27 @@ def test_certify_ignores_its_seed():
     assert verdicts == {"certified_global", "not_local_min", "inconclusive"}
 
 
+@pytest.mark.parametrize("norm", [frobenius(), schatten(3)], ids=["frobenius", "schatten3"])
+def test_eig_and_sv_certifiers_agree_on_commuting_pairs(norm):
+    """S = diag(1 + g, 1) and G0 = [[2, x], [x, 1]] commute to within tol,
+    but no joint eigenbasis leaves less than about x off G0's diagonal:
+    both certifiers refuse to certify them, as the products test and the
+    joint SVD do.  On commuting candidates, certified_global is given by
+    both or by neither."""
+    for g, x in ((1e-6, 1e-3), (1e-6, 1e-2), (1e-5, 1e-3)):
+        S, G0 = np.diag([1.0 + g, 1.0]), np.array([[2.0, x], [x, 1.0]])
+        assert eig_orbit.certify_local(norm, S, G0).verdict == "inconclusive"
+        assert sv_orbit.certify_local(norm, S, G0).verdict == "inconclusive"
+    rng = np.random.default_rng(23)
+    certified = 0
+    for i in range(40):
+        S, G0, _lam, _nu = commuting_candidate(int(rng.integers(2, 6)), rng, aligned=i % 2 == 0)
+        eig = eig_orbit.certify_local(norm, S, G0).verdict == "certified_global"
+        assert eig == (sv_orbit.certify_local(norm, S, G0).verdict == "certified_global")
+        certified += eig
+    assert certified == 20
+
+
 NON_FINITE_TOL_CALLS = {
     "eig_orbit.certify_local": lambda tol: eig_orbit.certify_local(
         NORM, np.diag([2.0, 1.0]), np.diag([1.0, 2.0]), tol=tol

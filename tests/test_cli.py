@@ -9,7 +9,7 @@ from lidskii import cli, frames, jsonio
 from lidskii.cli import main
 from lidskii.frames import FrameSequence
 from lidskii.matrices import skew_exp
-from lidskii.norms import frobenius
+from lidskii.norms import frobenius, schatten
 
 
 @pytest.fixture
@@ -164,8 +164,8 @@ def test_fod_optimize_writes_report(workdir, tmp_path):
 
 def test_fod_optimize_attainable_instance_is_the_closed_form(workdir, capsys):
     """S = diag(3, 1), a = (1, 1): the water-filled spectrum (2, 0)
-    majorizes a, so the report is the Schur-Horn frame, which no descent
-    step moves; the seed and the restart count change only their echoes."""
+    majorizes a, so the report is the Schur-Horn frame, where the gradient
+    vanishes; the seed and the restart count change only their echoes."""
     reports = []
     for seed, restarts in (("0", "8"), ("7", "2")):
         argv = ["fod-optimize", "--S", workdir["S"], "--a", "1,1", "--norm", "frobenius"]
@@ -183,13 +183,10 @@ def test_fod_optimize_attainable_instance_is_the_closed_form(workdir, capsys):
 def test_fod_optimize_unattainable_instance_keeps_the_restarts(tmp_path, capsys):
     """Criterion 09's configuration 5 is not majorized: its frame sits above
     the relaxation bound.  The report is still ``relaxation_minimizer``'s
-    frame, which the first-order check does not move, and it keeps the
-    ``--restarts`` and ``--seed`` options as echoes only."""
+    frame, and it keeps the ``--restarts`` and ``--seed`` options as echoes
+    only."""
     S, a, seeds = criterion_09_instances(6)[5]
-    s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
-    s_path.write_text(json.dumps(jsonio.matrix_to_json(S)))
-    a_path.write_text(json.dumps([float(x) for x in a]))
-    argv = ["fod-optimize", "--S", str(s_path), "--a", str(a_path), "--norm", "frobenius"]
+    argv = _fod_optimize_argv(tmp_path, S, a, "frobenius")
     G = frames.relaxation_minimizer(S, a)
     theta = frames.frame_operator_distance(frobenius(), S, G)
     reports = []
@@ -202,6 +199,44 @@ def test_fod_optimize_unattainable_instance_keeps_the_restarts(tmp_path, capsys)
         assert np.array_equal(jsonio.frame_from_json(report["frame"]).vectors, G.vectors)
         reports.append({k: v for k, v in report.items() if k not in ("seed", "restarts")})
     assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+
+def _fod_optimize_argv(tmp_path, S, a, norm):
+    s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
+    s_path.write_text(json.dumps(jsonio.matrix_to_json(S)))
+    a_path.write_text(json.dumps([float(x) for x in a]))
+    return ["fod-optimize", "--S", str(s_path), "--a", str(a_path), "--norm", norm]
+
+
+def test_fod_optimize_reports_the_closed_form_at_large_scale(tmp_path, capsys):
+    """Criterion 09's configuration 0 scaled by 1e6.  The gradient's
+    rounding at the closed form (3.4e-6) is above the absolute grad_tol, and
+    a descent from it once ran all 20000 iterations to end at 1.1e-3.  The
+    report is the closed form; ``converged`` stays false while grad_tol is
+    absolute."""
+    S, a, _seeds = criterion_09_instances(1)[0]
+    S, a = 1e6 * S, 1e6 * a
+    assert main(_fod_optimize_argv(tmp_path, S, a, "frobenius")) == 0
+    report = json.loads(capsys.readouterr().out)
+    G = frames.relaxation_minimizer(S, a)
+    assert report["iterations"] == 0 and not report["converged"]
+    assert report["theta"] == frames.frame_operator_distance(frobenius(), S, G)
+    assert report["grad_norm"] == frames.gradient_norm(frobenius(), S, G)
+
+
+def test_fod_optimize_reports_the_closed_form_on_an_attainable_target(tmp_path, capsys):
+    """S is a frame operator with squared norms a, so the optimum is 0.
+    Schatten 3 is not differentiable there: a descent from the closed form
+    (theta 7.0e-16) once stopped without progress at 1.0e-15."""
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.5, 1.5, 4)
+    S = frames.frame_operator(frames.random_frame(3, a, rng))
+    assert main(_fod_optimize_argv(tmp_path, S, a, "schatten:3")) == 0
+    report = json.loads(capsys.readouterr().out)
+    G = frames.relaxation_minimizer(S, a)
+    assert report["iterations"] == 0
+    assert report["theta"] == frames.frame_operator_distance(schatten(3), S, G)
+    assert report["theta"] <= 1e-15 * np.linalg.norm(S)
 
 
 def test_round_trip_cli_outputs_reparse(workdir, capsys):

@@ -334,18 +334,37 @@ def test_gradient_descent_recovers_constructed_minimum():
         rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     )
     init *= np.sqrt(a / np.sum(np.abs(init) ** 2, axis=0))
-    G, tr = gradient_descent(S, a, opts=DescentOptions(init=init))
-    assert tr.converged
-    assert frame_operator_distance(frobenius(), S, G) < 1e-6
+    # a descent from a given frame is the kernel's, with gradient_descent's
+    # options; seeded descents start from random frames only
+    opts = DescentOptions()
+    G, traces, gnorms, stops = frames._kernels.lockstep_descent(
+        frames._kernels.SquaredFrobenius, S, init[np.newaxis], a,
+        frames._kernels.SquaredFrobenius.max_iters, opts.grad_tol, opts.armijo_c, opts.backtrack,
+    )
+    assert frames._kernels.STOPS[stops[0]] == "converged" and gnorms[0] < opts.grad_tol
+    assert frame_operator_distance(frobenius(), S, FrameSequence(G[0], a)) < 1e-6
 
 
 def test_gradient_descent_zero_gradient_start():
-    # exact minimizer: terminates immediately with an empty step log
+    # exact minimizer: the gradient vanishes, so a descent from it
+    # terminates immediately with an empty step log
     G = _basis_frame(3)
     S = frame_operator(G)
-    out, tr = gradient_descent(S, G.norms, opts=DescentOptions(init=G.vectors))
-    assert tr.converged and tr.iterations == 0
-    assert np.allclose(out.vectors, G.vectors)
+    assert frames.gradient_norm(frobenius(), S, G) == 0.0
+    out, traces, gnorms, stops = frames._kernels.lockstep_descent(
+        frames._kernels.SquaredFrobenius, S, G.vectors[np.newaxis], G.norms, 100, 1e-9, 1e-4, 0.5
+    )
+    assert frames._kernels.STOPS[stops[0]] == "converged" and len(traces[0]) == 1
+    assert np.array_equal(out[0], G.vectors)
+
+
+@pytest.mark.parametrize("norm", [frobenius(), schatten(3)], ids=["frobenius", "schatten3"])
+def test_gradient_norm_is_the_descents_first_gradient(norm):
+    # a descent capped at one step reports the gradient norm of its start
+    for seed in range(6):
+        S, a = _restart_instance(seed)
+        _G, tr = frames.descend_restarts(norm, S, a, [seed], DescentOptions(max_iters=1))[0]
+        assert frames.gradient_norm(norm, S, random_frame(3, a, seed)) == tr.grad_norm
 
 
 def test_gradient_descent_deterministic_per_seed():
@@ -474,10 +493,9 @@ def test_descent_options_keep_the_objective_budget(monkeypatch):
     monkeypatch.setattr(frames._kernels.NormDistance, "max_iters", 5)
     monkeypatch.setattr(frames._kernels.SquaredFrobenius, "max_iters", 6)
     S, a = _restart_instance(8)
-    init = random_frame(3, a, 4).vectors
-    _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(init=init))[0]
+    _G, tr = frames.descend_restarts(schatten(3), S, a, [4], DescentOptions())[0]
     assert tr.stop == "max_iters" and tr.iterations == 5
-    _G, tr = gradient_descent(S, a, opts=DescentOptions(init=init))
+    _G, tr = gradient_descent(S, a, seed=4, opts=DescentOptions())
     assert tr.stop == "max_iters" and tr.iterations == 6
     _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(max_iters=3))[0]
     assert tr.stop == "max_iters" and tr.iterations == 3
@@ -494,14 +512,13 @@ def test_descent_stop_reasons():
     unshrinkable = DescentOptions(max_iters=1, armijo_c=0.75, backtrack=1.0)
     stops = [tr.stop for _G, tr in frames.descend_restarts(frobenius(), S, a, [0, 1, 3], unshrinkable)]
     assert stops == ["max_iters", "converged", "stalled_line_search"]
-    # Schatten-3: a critical point converges at once; from random starts the
-    # unshrinkable line search stalls (after 3 to 20 steps) or runs into the
-    # cap of 10
+    # Schatten-3: a descent from a critical point converges at once (its
+    # gradient norm is below grad_tol); from random starts the unshrinkable
+    # line search stalls (after 3 to 20 steps) or runs into the cap of 10
     S = np.diag([2.0, 1.0])
     a = np.array([2.0, 1.0])
-    critical = np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]])
-    _G, tr = frames.descend_restarts(schatten(3), S, a, [0], DescentOptions(init=critical))[0]
-    assert tr.stop == "converged" and tr.iterations == 0
+    critical = FrameSequence(np.array([[np.sqrt(2.0), 1.0], [0.0, 0.0]]), a)
+    assert frames.gradient_norm(schatten(3), S, critical) < DescentOptions().grad_tol
     unshrinkable = DescentOptions(max_iters=10, backtrack=1.0)
     stops = {tr.stop for _G, tr in frames.descend_restarts(schatten(3), S, a, range(8), unshrinkable)}
     assert stops == {"stalled_line_search", "max_iters"}

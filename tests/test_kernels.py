@@ -159,6 +159,25 @@ def test_cli_import_leaves_the_pool_module_unloaded():
     assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 
 
+def test_imports_load_only_numpy_and_the_standard_library():
+    """numpy is the one dependency: importing the package, its CLI and its
+    property suites loads no other third-party module (scipy may be
+    installed, but nothing may import it).  Modules without an import spec
+    are namespaces that compiled extensions register (Cython's runtime),
+    not imports."""
+    src = os.path.dirname(os.path.dirname(lidskii.__file__))
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import lidskii, lidskii.cli, lidskii.properties; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before "
+        "if sys.modules[m].__spec__ is not None} - set(sys.stdlib_module_names)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"numpy", "lidskii"}, proc.stdout
+
+
 def _objectives():
     return [
         (_kernels.SquaredFrobenius, frame_descent_serial),
