@@ -16,16 +16,19 @@ before it are the same.
 
 ``orbit_spectra`` and ``psd_spectra`` sample spectra over stacks of Haar and
 Wishart-like draws supplied as pre-generated ``(n, d, d)`` Gaussian batches.
-``orbit_spectra`` turns its batch into Haar unitaries with the phase-fixed
-QR of ``matrices.haar_qr``, which ``haar_unitary`` and the
-singular-value-orbit sampler also use.  ``_blockwise`` runs the work of the
-two orbit samplers (``orbit_spectra`` and
-``sv_orbit.sv_orbit_sample_values``) in blocks of ``SAMPLE_BLOCK`` samples
+``orbit_frobenius`` samples the Frobenius norm of the residuals
+``orbit_spectra`` decomposes, from their entries and with no ``eigvalsh``;
+``sv_orbit.sv_orbit_sample_values`` does the same with its residuals
+through ``_frobenius_rows``.  The two eigenvalue-orbit kernels share
+``_orbit_blocks``, which turns each block into Haar unitaries with the
+phase-fixed QR of ``matrices.haar_qr`` (also behind ``haar_unitary`` and
+the singular-value-orbit sampler) and forms S - Q D Q^H.  ``_blockwise``
+runs the work of the orbit samplers in blocks of ``SAMPLE_BLOCK`` samples
 on a pool of one thread per CPU: NumPy's stacked LAPACK calls release the
 GIL, and a stacked call gives each slice the bits it gives that slice
-alone, so the samples are bitwise those of one stack.  ``psd_spectra``
-stays one stack: its cost is ``eigvalsh``, which gains almost nothing from
-a second thread.
+alone, so the samples are bitwise those of one stack.  Of the pooled work,
+the QR and the SVD gain from a second thread and ``eigvalsh`` almost
+nothing, so ``psd_spectra``, whose cost is ``eigvalsh``, stays one stack.
 """
 
 import collections
@@ -100,7 +103,7 @@ class NormDistance:
 
     def __init__(self, norm):
         if not norm.strictly_convex:
-            raise ValueError("subgradient descent expects a strictly convex norm")
+            raise ValueError("the norm-distance objective needs a strictly convex norm")
         self.norm = norm
 
     def value(self, X):
@@ -357,6 +360,30 @@ def _blockwise(n, draw, work):
         yield ready, future.result()
 
 
+def _frobenius_rows(R):
+    """sqrt(sum |r_ij|^2) per matrix of a C-contiguous complex ``(m, d, d)``
+    stack: one reduction over the real and imaginary parts of each matrix,
+    so a row's value does not depend on the rest of the stack."""
+    x = R.view(np.float64).reshape(len(R), -1)
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _orbit_blocks(S, dvals, gaussians, reduce):
+    """Yield ``(block, reduce(S - Q_i D Q_i^H))`` in block order, Q_i =
+    ``haar_qr`` of the block's Gaussians: the QR, the residuals and
+    ``reduce`` run on a pool thread of ``_blockwise``."""
+    S = np.ascontiguousarray(S, dtype=np.complex128)
+    dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
+    gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
+
+    def work(Z):
+        Q = _haar_qr(Z)
+        QH = np.conj(np.swapaxes(Q, -1, -2))  # conj_t, which is public: see _blockwise
+        return reduce(S[np.newaxis] - Q @ (dvals[:, np.newaxis] * QH))
+
+    return _blockwise(len(gaussians), lambda block: (gaussians[block],), work)
+
+
 def orbit_spectra(S, dvals, gaussians):
     """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
     Q_i = ``haar_qr`` of the i-th complex Gaussian matrix.
@@ -365,18 +392,22 @@ def orbit_spectra(S, dvals, gaussians):
     product and ``eigvalsh`` run on a pool thread, and the rows are bitwise
     those of one stacked call.
     """
-    S = np.ascontiguousarray(S, dtype=np.complex128)
-    dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
-    gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
-
-    def work(Z):
-        Q = _haar_qr(Z)
-        QH = np.conj(np.swapaxes(Q, -1, -2))  # conj_t, which is public: see _blockwise
-        return np.linalg.eigvalsh(S[np.newaxis] - Q @ (dvals[:, np.newaxis] * QH))
-
-    out = np.empty(gaussians.shape[:2])
-    for block, w in _blockwise(len(gaussians), lambda block: (gaussians[block],), work):
+    out = np.empty(np.shape(gaussians)[:2])
+    for block, w in _orbit_blocks(S, dvals, gaussians, np.linalg.eigvalsh):
         out[block] = w[..., ::-1]
+    return out
+
+
+def orbit_frobenius(S, dvals, gaussians):
+    """||S - Q_i D Q_i^H||_F per Haar sample, from the entries of each
+    residual: the samples of ``orbit_spectra`` without its ``eigvalsh``.
+
+    Each block's QR, product and entrywise norm run on a pool thread; a
+    value is bitwise that of one stacked call.
+    """
+    out = np.empty(len(gaussians))
+    for block, v in _orbit_blocks(S, dvals, gaussians, _frobenius_rows):
+        out[block] = v
     return out
 
 

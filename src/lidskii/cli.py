@@ -147,6 +147,11 @@ def _cmd_fod_optimize(args):
     S = _load_matrix(args.S)
     a = _load_vector(args.a)
     norm = parse_norm(args.norm)
+    if not norm.strictly_convex:
+        raise ValueError(
+            f"norm {args.norm} is not strictly convex: the structure conditions "
+            "and the first-order check need a strictly convex norm"
+        )
     best = frames.relaxation_minimizer(S, a)
     grad_norm = frames.gradient_norm(norm, S, best)
     theta = frames.frame_operator_distance(norm, S, best)

@@ -219,8 +219,11 @@ def orbit_sample_values(norm: NormSpec, S, mu, n: int, seed) -> np.ndarray:
     """Objective values norm(S - G) over n Haar samples G of the orbit.
 
     All n Gaussians are drawn as one ``(n, d, d)`` batch on the calling
-    thread; ``_kernels.orbit_spectra`` works the batch in blocks on its
-    thread pool and returns the spectra of one stacked call, bit for bit.
+    thread.  Under the Frobenius norm ``_kernels.orbit_frobenius`` takes
+    each value from the entries of S - G; under every other norm
+    ``_kernels.orbit_spectra`` returns the spectra and the gauge runs on
+    them.  Either kernel works the batch in blocks on its thread pool and
+    returns the values of one stacked call, bit for bit.
     """
     S = as_hermitian(S)
     d = S.shape[0]
@@ -229,5 +232,7 @@ def orbit_sample_values(norm: NormSpec, S, mu, n: int, seed) -> np.ndarray:
     gaussians = (
         rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     ) / np.sqrt(2.0)
+    if norm.kind == "frobenius":
+        return _kernels.orbit_frobenius(S, mu.astype(np.complex128), gaussians)
     spectra = _kernels.orbit_spectra(S, mu.astype(np.complex128), gaussians)
     return np.asarray(gauge_from_eigs(norm, spectra))

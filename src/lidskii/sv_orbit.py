@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eig_orbit
-from ._kernels import _blockwise
+from ._kernels import _blockwise, _frobenius_rows
 from .curves import DescentCurve, build_curve, log_grid, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
@@ -294,14 +294,17 @@ def sv_orbit_sample_values(norm: NormSpec, A, s, n: int, seed) -> np.ndarray:
     That is the stream one ``haar_unitary(d, rng)`` per sample reads, the
     block's X's before its Y's.  A pool thread (``_kernels._blockwise``)
     turns each draw into unitaries with the stacked QR of ``haar_qr`` and
-    takes the singular values of A - X^H D_s Y; the gauge runs on the
-    calling thread, once per block.  The values and the state left in a
-    shared Generator are those of the per-sample loop.
+    forms the residuals A - X^H D_s Y.  Under the Frobenius norm the same
+    thread takes each value from the residual's entries; under every other
+    norm it takes the singular values, and the gauge runs on the calling
+    thread, once per block.  The values and the state left in a shared
+    Generator are those of the per-sample loop.
     """
     A = require_square(A)
     d = A.shape[0]
     s = _target(s, d)
     rng = as_rng(seed)
+    entrywise = norm.kind == "frobenius"
 
     def draw(block):
         m = block.stop - block.start
@@ -311,9 +314,10 @@ def sv_orbit_sample_values(norm: NormSpec, A, s, n: int, seed) -> np.ndarray:
         Xs, Ys = (_haar_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)) for g in (gx, gy))
         # conj_t(Xs) written out: a pool thread calls no public function
         Bs = np.conj(np.swapaxes(Xs, -1, -2)) @ (s[:, np.newaxis] * Ys)
-        return np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
+        R = A[np.newaxis] - Bs
+        return _frobenius_rows(R) if entrywise else np.linalg.svd(R, compute_uv=False)
 
     vals = np.empty(n)
-    for block, sv in _blockwise(n, draw, work):
-        vals[block] = np.asarray(gauge(norm, sv))
+    for block, w in _blockwise(n, draw, work):
+        vals[block] = w if entrywise else np.asarray(gauge(norm, w))
     return vals

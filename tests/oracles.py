@@ -9,7 +9,9 @@ certifiers' gradient flows are sampled one curve point at a time (the
 library samples a whole curve as one stack), the spectrum samplers run one
 sample at a time, the eigenvalue-orbit sampler runs as one stack (the
 library works it in blocks on a thread pool), the singular-value-orbit
-sampler draws one Haar unitary at a time, the frame descents run one restart at a time on 2-d arrays
+sampler draws one Haar unitary at a time (both orbit samplers take a
+Frobenius value from the residual's entries, as the library does, so the
+comparison stays bitwise), the frame descents run one restart at a time on 2-d arrays
 (the library descends a stack of restarts in lockstep), and the optimal
 frame spectrum is taken over every partition into water-filled blocks (the
 library chooses each block greedily).
@@ -281,21 +283,34 @@ def orbit_spectra_loop(S, dvals, gaussians):
     return out
 
 
-def orbit_spectra_stack(S, dvals, gaussians):
-    """Eigenvalue rows (non-increasing) of S - Q_i D Q_i^H per Haar sample,
-    Q_i = ``haar_qr`` of the i-th complex Gaussian matrix, as one stack."""
+def orbit_residuals_stack(S, dvals, gaussians):
+    """S - Q_i D Q_i^H per Haar sample, Q_i = ``haar_qr`` of the i-th
+    complex Gaussian matrix, as one stack."""
     S = np.ascontiguousarray(S, dtype=np.complex128)
     dvals = np.ascontiguousarray(dvals, dtype=np.complex128)
     gaussians = np.ascontiguousarray(gaussians, dtype=np.complex128)
     Q = haar_qr(gaussians)
-    M = S[np.newaxis] - Q @ (dvals[:, np.newaxis] * conj_t(Q))
-    w = np.linalg.eigvalsh(M)
+    return S[np.newaxis] - Q @ (dvals[:, np.newaxis] * conj_t(Q))
+
+
+def orbit_spectra_stack(S, dvals, gaussians):
+    """Eigenvalue rows (non-increasing) of ``orbit_residuals_stack``."""
+    w = np.linalg.eigvalsh(orbit_residuals_stack(S, dvals, gaussians))
     return w[..., ::-1].copy()
 
 
-def orbit_sample_values_stack(norm, S, mu, n, seed):
-    """Objective values norm(S - G) over n Haar samples G of the orbit,
-    all n Gaussians drawn and worked as one stack."""
+def frobenius_rows(R):
+    """sqrt(sum |r_ij|^2) per matrix of a complex ``(n, d, d)`` stack, the
+    squares of the real and imaginary parts summed in one reduction per
+    matrix, as the samplers sum them."""
+    n, d = R.shape[:2]
+    x = np.ascontiguousarray(R, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.add.reduce((x * x).reshape(n, 2 * d * d), axis=1))
+
+
+def orbit_sample_residuals_stack(S, mu, n, seed):
+    """S - G over n Haar samples G of the orbit, all n Gaussians drawn and
+    worked as one stack."""
     S = as_hermitian(S)
     d = S.shape[0]
     mu = _spectrum(mu, d)
@@ -303,19 +318,28 @@ def orbit_sample_values_stack(norm, S, mu, n, seed):
     gaussians = (
         rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     ) / np.sqrt(2.0)
-    spectra = orbit_spectra_stack(S, mu.astype(np.complex128), gaussians)
+    return orbit_residuals_stack(S, mu.astype(np.complex128), gaussians)
+
+
+def orbit_sample_values_stack(norm, S, mu, n, seed):
+    """Objective values norm(S - G) of ``orbit_sample_residuals_stack``:
+    Frobenius from the entries, every other norm from the spectra."""
+    R = orbit_sample_residuals_stack(S, mu, n, seed)
+    if norm.kind == "frobenius":
+        return frobenius_rows(R)
+    spectra = np.linalg.eigvalsh(R)[..., ::-1].copy()
     return np.asarray(gauge_from_eigs(norm, spectra))
 
 
-def sv_orbit_sample_values_loop(norm, A, s, n, seed):
-    """Objective values over n samples X^H D_s Y, one ``haar_unitary`` call
-    per X and per Y (a block's X's before its Y's)."""
+def sv_orbit_sample_residuals_loop(A, s, n, seed):
+    """A - X^H D_s Y over n samples, one ``haar_unitary`` call per X and
+    per Y (a block's X's before its Y's)."""
     A = require_square(A)
     s = sort_desc(s)
     d = A.shape[0]
     rng = as_rng(seed)
 
-    vals = np.empty(n)
+    R = np.empty((n, d, d), dtype=np.complex128)
     block = 512
     i = 0
     while i < n:
@@ -323,10 +347,18 @@ def sv_orbit_sample_values_loop(norm, A, s, n, seed):
         Xs = np.stack([haar_unitary(d, rng) for _ in range(m)])
         Ys = np.stack([haar_unitary(d, rng) for _ in range(m)])
         Bs = np.conj(np.swapaxes(Xs, -1, -2)) @ (s[:, np.newaxis] * Ys)
-        sv = np.linalg.svd(A[np.newaxis] - Bs, compute_uv=False)
-        vals[i : i + m] = np.asarray(gauge(norm, sv))
+        R[i : i + m] = A[np.newaxis] - Bs
         i += m
-    return vals
+    return R
+
+
+def sv_orbit_sample_values_loop(norm, A, s, n, seed):
+    """Objective values of ``sv_orbit_sample_residuals_loop``: Frobenius
+    from the entries, every other norm from the singular values."""
+    R = sv_orbit_sample_residuals_loop(A, s, n, seed)
+    if norm.kind == "frobenius":
+        return frobenius_rows(R)
+    return np.asarray(gauge(norm, np.linalg.svd(R, compute_uv=False)))
 
 
 def psd_spectra_loop(S, t, gaussians):

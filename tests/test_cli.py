@@ -239,6 +239,18 @@ def test_fod_optimize_reports_the_closed_form_on_an_attainable_target(tmp_path, 
     assert report["theta"] <= 1e-15 * np.linalg.norm(S)
 
 
+@pytest.mark.parametrize("norm", ["spectral", "kyfan:1", "schatten:1"])
+def test_fod_optimize_rejects_a_norm_that_is_not_strictly_convex(workdir, capsys, norm):
+    argv = ["fod-optimize", "--S", workdir["S"], "--a", "1,1", "--norm", norm]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"lidskii fod-optimize: error: norm {norm} is not strictly convex: the structure "
+        "conditions and the first-order check need a strictly convex norm\n"
+    )
+
+
 def test_round_trip_cli_outputs_reparse(workdir, capsys):
     code = main(["min-eig", "--S", workdir["S"], "--mu", "1,0"])
     assert code == 0

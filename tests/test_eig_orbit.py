@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import orbit_sample_values_stack
+from oracles import orbit_sample_residuals_stack, orbit_sample_values_stack
 from lidskii import eig_orbit
 from lidskii.majorization import majorizes, sort_desc
-from lidskii.matrices import eigvalsh_desc, random_hermitian
-from lidskii.norms import evaluate, frobenius, schatten, spectral
+from lidskii.matrices import eigvalsh_desc, haar_unitary, random_hermitian
+from lidskii.norms import evaluate, frobenius, gauge_from_eigs, schatten, spectral
 
 
 def test_orbit_distance_examples():
@@ -177,6 +177,47 @@ def test_orbit_sampler_matches_one_stack_bitwise(d):
                 orbit_sample_values_stack(norm, S, mu, n, g_stack),
             )
             assert g.standard_normal() == g_stack.standard_normal()
+
+
+def _frobenius_from_spectra(S, mu, n, seed):
+    """The Frobenius gauge of the spectra of the same n samples."""
+    spectra = np.linalg.eigvalsh(orbit_sample_residuals_stack(S, mu, n, seed))
+    return np.asarray(gauge_from_eigs(frobenius(), spectra))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_orbit_sampler_frobenius_values_match_the_spectra(d):
+    """Frobenius values come from the residual's entries, the other norms'
+    from its spectrum; on the same samples the two routes agree."""
+    rng = np.random.default_rng(80 + d)
+    S = random_hermitian(d, rng)
+    mu = rng.standard_normal(d)
+    for n in (1, 511, 512, 1025):
+        seed = int(rng.integers(0, 2**31))
+        vals = eig_orbit.orbit_sample_values(frobenius(), S, mu, n, seed)
+        ref = _frobenius_from_spectra(S, mu, n, seed)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+
+def test_orbit_sampler_frobenius_repeated_eigenvalues():
+    # d = 1 is among the dimensions, and n = 0 among the counts, of the tests above
+    V = haar_unitary(5, 17)
+    S = (V * np.array([2.0, 2.0, 2.0, -1.0, -1.0])) @ V.conj().T
+    mu = [1.0, 1.0, 0.5, 0.5, 0.5]
+    vals = eig_orbit.orbit_sample_values(frobenius(), S, mu, 700, 5)
+    assert np.array_equal(vals, orbit_sample_values_stack(frobenius(), S, mu, 700, 5))
+    ref = _frobenius_from_spectra(S, mu, 700, 5)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_orbit_sampler_frobenius_values_scale(c):
+    rng = np.random.default_rng(23)
+    S = random_hermitian(6, rng)
+    mu = 2.0 * rng.standard_normal(6)
+    vals = eig_orbit.orbit_sample_values(frobenius(), S, mu, 600, 8)
+    scaled = eig_orbit.orbit_sample_values(frobenius(), c * S, c * mu, 600, 8)
+    assert np.all(np.abs(scaled - c * vals) <= 1e-13 * c * vals)
 
 
 def test_orbit_sampler_rejects_length_mismatch():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import sv_orbit_sample_values_loop
+from oracles import sv_orbit_sample_residuals_loop, sv_orbit_sample_values_loop
 from lidskii import sv_orbit
 from lidskii.majorization import sort_desc
 from lidskii.matrices import frob, haar_unitary, random_general, random_hermitian, svdvals
-from lidskii.norms import evaluate, frobenius, schatten, spectral
+from lidskii.norms import evaluate, frobenius, gauge, schatten, spectral
 from lidskii.properties import hermitian_product_pair
 
 
@@ -228,6 +228,46 @@ def test_sv_sampler_matches_per_sample_loop_bitwise(d):
                 sv_orbit_sample_values_loop(norm, A, s, n, g_loop),
             )
             assert g.standard_normal() == g_loop.standard_normal()
+
+
+def _frobenius_from_singular_values(A, s, n, seed):
+    """The Frobenius gauge of the singular values of the same n samples."""
+    sv = np.linalg.svd(sv_orbit_sample_residuals_loop(A, s, n, seed), compute_uv=False)
+    return np.asarray(gauge(frobenius(), sv))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sv_sampler_frobenius_values_match_the_singular_values(d):
+    """Frobenius values come from the residual's entries, the other norms'
+    from its singular values; on the same samples the two routes agree."""
+    rng = np.random.default_rng(90 + d)
+    A = random_general(d, rng)
+    s = rng.uniform(0.0, 3.0, d)
+    for n in (1, 511, 512, 1025):
+        seed = int(rng.integers(0, 2**31))
+        vals = sv_orbit.sv_orbit_sample_values(frobenius(), A, s, n, seed)
+        ref = _frobenius_from_singular_values(A, s, n, seed)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("s", [[2.0, 0.0, 1.0, 0.0, 0.0], [0.0] * 5])
+def test_sv_sampler_frobenius_zeros_in_target(s):
+    # d = 1 is among the dimensions, and n = 0 among the counts, of the tests above
+    A = random_general(5, np.random.default_rng(19))
+    vals = sv_orbit.sv_orbit_sample_values(frobenius(), A, s, 700, 5)
+    assert np.array_equal(vals, sv_orbit_sample_values_loop(frobenius(), A, s, 700, 5))
+    ref = _frobenius_from_singular_values(A, s, 700, 5)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_sv_sampler_frobenius_values_scale(c):
+    rng = np.random.default_rng(29)
+    A = random_general(6, rng)
+    s = rng.uniform(0.0, 3.0, 6)
+    vals = sv_orbit.sv_orbit_sample_values(frobenius(), A, s, 600, 8)
+    scaled = sv_orbit.sv_orbit_sample_values(frobenius(), c * A, c * s, 600, 8)
+    assert np.all(np.abs(scaled - c * vals) <= 1e-13 * c * vals)
 
 
 def test_sv_sampler_rejects_length_mismatch():

@@ -18,7 +18,12 @@ Prints one sha256 per output:
 * ``descents``: the final θ, ``iterations``, ``stop`` and ``grad_norm`` of
   acceptance criterion 09's 100 × 8 restarts, from
   ``tests/oracles.criterion_09_instances`` through ``frames.descend_restarts``,
-  with the count of converged restarts.
+  with the count of converged restarts;
+* ``sampling``: the float64 sample values of the benchmark's 21 sampling
+  operations at seed 0, with the count of operations whose check passes,
+  then one ``sampling op=<i>`` line per operation with the first 16 hex
+  digits of the sha256 of its values alone, so a change shows which
+  sampler and norm it moved.
 
 The checkout's ``perfbench/workloads.py`` builds the operations, its
 ``tests/oracles.py`` the descent instances, and its ``src/`` supplies
@@ -37,6 +42,8 @@ import tempfile
 CERTIFY_SEEDS = (0, 1, 2)
 CERTIFY_INSTANCES = 30  # the benchmark's certify pool
 SUITES = (("small", 0), ("small", 1), ("medium", 0))
+SAMPLING_SEED = 0
+SAMPLING_INSTANCES = 21  # the benchmark's sampling pool
 
 
 def _run_ops(ops, workdir):
@@ -78,6 +85,24 @@ def _descents(instances):
     return digest.hexdigest(), f"{converged}/{total}"
 
 
+def _sampling(ops):
+    """sha256 of every operation's sample values in order, the count of
+    operations whose check passes, and the sha256 of each operation's
+    values alone."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    passed = 0
+    per_op = []
+    for op in ops:
+        values = op.run()
+        passed += not op.check(values)[0]
+        record = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+        digest.update(record)
+        per_op.append(hashlib.sha256(record).hexdigest())
+    return digest.hexdigest(), f"{passed}/{len(ops)}", per_op
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", help="root of a lidskii checkout")
@@ -116,6 +141,11 @@ def main(argv=None):
             print(f"property-suite {scale} seed={seed} {sha} exit={code}")
     sha, converged = _descents(oracles.criterion_09_instances())
     print(f"descents {sha} converged={converged}")
+    # the sampling operations write nothing: they take no work directory
+    sha, passed, per_op = _sampling(workloads.sampling_ops(SAMPLING_SEED, None, SAMPLING_INSTANCES))
+    print(f"sampling {sha} ok={passed}")
+    for i, op_sha in enumerate(per_op):
+        print(f"sampling op={i} {op_sha[:16]}")
 
 
 if __name__ == "__main__":
