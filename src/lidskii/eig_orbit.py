@@ -125,22 +125,16 @@ def _sym(G):
 GIVENS_T_MAX = np.pi / 2 * 0.9999
 
 
-def givens_points(V, G0, j: int):
-    """Point function of the two-plane rotation G(t) = U(t) G0 U(t)^H, where
-    U(t) = V R(t) V^H rotates the j-th against the (j+1)-th column of V."""
-    d = G0.shape[0]
-
-    def point(ts):
-        R = np.tile(np.eye(d, dtype=np.complex128), (ts.size, 1, 1))
-        c, s = np.cos(ts), np.sin(ts)
-        R[:, j, j] = c
-        R[:, j + 1, j + 1] = c
-        R[:, j, j + 1] = s
-        R[:, j + 1, j] = -s
-        U = V @ R @ conj_t(V)
-        return _sym(U @ G0 @ conj_t(U))
-
-    return point
+def plane_rotations(V, j: int, ts):
+    """The stack of unitaries V R(t) V^H over ts, where R(t) rotates the j-th
+    against the (j+1)-th coordinate by the angle t."""
+    R = np.tile(np.eye(V.shape[0], dtype=np.complex128), (ts.size, 1, 1))
+    c, s = np.cos(ts), np.sin(ts)
+    R[:, j, j] = c
+    R[:, j + 1, j + 1] = c
+    R[:, j, j + 1] = s
+    R[:, j + 1, j] = -s
+    return V @ R @ conj_t(V)
 
 
 def _noncommuting_witness(norm, S, G0):
@@ -173,9 +167,10 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
     For strictly convex norms local minimizers coincide with global ones:
     the certificate is ``certified_global`` iff the pair commutes, that is
     ``|[S, G0]|_F <= tol * |S|_F |G0|_F`` (scale-free), and the spectra are
-    monotonically aligned in a joint basis, up to degeneracy clusters; one
-    that leaves more than ``tol * |G0|_F`` off the diagonal gives
-    ``inconclusive``, as in ``sv_orbit``.  A misaligned commuting
+    monotonically aligned in a joint basis, up to degeneracy clusters.  A
+    commuting pair whose ``joint_diagonalize`` leaves more than
+    ``tol * |G0|_F`` of G0 off the diagonal gives ``inconclusive``: the
+    rule of ``sv_orbit.certify_local``.  A misaligned commuting
     candidate is rejected with a Givens curve, a non-commuting one with its
     commutator flow; either is ``inconclusive`` when its curve does not
     pass ``trim_to_descent``.  ``seed`` is accepted; nothing reads it.
@@ -196,12 +191,14 @@ def certify_local(norm: NormSpec, S, G0, tol: float = 1e-8, seed=0) -> EigCertif
         j = _first_inversion(lam, nu)
         if j is None:
             return EigCertificate("certified_global", resid, V, True, None, phi0)
-        # lam[j] > lam[j+1] with nu[j] < nu[j+1]: rotating the j-th against
-        # the (j+1)-th joint eigenvector strictly shrinks every strictly
-        # convex norm on all of t in (0, pi/2)
-        curve = build_curve(
-            "givens", j, givens_points(V, G0, j), distance_from(norm, S), log_grid(GIVENS_T_MAX)
-        )
+        # lam[j] > lam[j+1] with nu[j] < nu[j+1]: G0 turned by U(t), which
+        # rotates the j-th against the (j+1)-th joint eigenvector, strictly
+        # shrinks every strictly convex norm on all of t in (0, pi/2)
+        def point(ts):
+            U = plane_rotations(V, j, ts)
+            return _sym(U @ G0 @ conj_t(U))
+
+        curve = build_curve("givens", j, point, distance_from(norm, S), log_grid(GIVENS_T_MAX))
         witness = trim_to_descent(curve)
     verdict = "not_local_min" if witness else "inconclusive"
     return EigCertificate(verdict, resid, V, False, witness, phi0)

@@ -115,12 +115,17 @@ def _gram(V):
     return (S + conj_t(S)) / 2.0
 
 
-def frame_operator_distance(norm: NormSpec, S, G: FrameSequence) -> float:
-    """norm(S - S_G), the generalized frame operator distance."""
+def _target(S, G: FrameSequence):
+    """S as a Hermitian matrix, checked against the dimension of the frame G."""
     S = as_hermitian(S)
     if S.shape[0] != G.dim:
         raise ValueError(f"dim mismatch: {S.shape[0]} vs {G.dim}")
-    return evaluate(norm, S - frame_operator(G))
+    return S
+
+
+def frame_operator_distance(norm: NormSpec, S, G: FrameSequence) -> float:
+    """norm(S - S_G), the generalized frame operator distance."""
+    return evaluate(norm, _target(S, G) - frame_operator(G))
 
 
 def water_fill(lam, t: float):
@@ -263,7 +268,7 @@ def _schur_horn_rotation(lam, a):
 def fitted_eigenvalues(S, G: FrameSequence):
     """Rayleigh quotients c_j of S - S_G on each frame vector, with relative
     residuals ||(S - S_G) g_j - c_j g_j|| / ||g_j||."""
-    S = as_hermitian(S)
+    S = _target(S, G)
     E = S - frame_operator(G)
     V = G.vectors
     norms2 = np.sum(np.abs(V) ** 2, axis=0)
@@ -327,7 +332,7 @@ def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> 
     if G0.count == 0:
         raise ValueError("empty frame")
     G0.validate()
-    S = as_hermitian(S)
+    S = _target(S, G0)
     S0 = frame_operator(G0)
     E = S - S0
     fitted, resid = fitted_eigenvalues(S, G0)
@@ -381,7 +386,7 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     if G0.count < G0.dim:
         raise ValueError("the single-eigenvalue certificate requires k >= d")
     G0.validate()
-    S = as_hermitian(S)
+    S = _target(S, G0)
     lamS = eigvalsh_desc(S)
     if lamS[-1] < -tol * abs(lamS[0]):
         raise ValueError("target must be positive semidefinite")
@@ -477,7 +482,7 @@ def _objective(norm: NormSpec):
 def gradient_norm(norm: NormSpec, S, G: FrameSequence) -> float:
     """The descent's gradient norm at G, bitwise its iteration 0 from G."""
     V = np.ascontiguousarray(G.vectors)[np.newaxis]
-    X = as_hermitian(S) - V @ conj_t(V)
+    X = _target(S, G) - V @ conj_t(V)
     return float(np.sqrt(_kernels._riemannian_gradient(_objective(norm), X, V, G.norms)[1][0]))
 
 
@@ -509,7 +514,7 @@ def escape_move(S, G0: FrameSequence, cluster_index: int):
     """
     norm = frobenius()
     G0.validate()
-    S = as_hermitian(S)
+    S = _target(S, G0)
     S0 = frame_operator(G0)
     E = S - S0
     fitted, _resid = fitted_eigenvalues(S, G0)

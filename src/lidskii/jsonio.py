@@ -29,13 +29,22 @@ def matrix_to_json(M) -> dict:
     }
 
 
+def _shape_field(obj, key) -> int:
+    """A shape field: a non-negative JSON integer, never a bool, a float or a
+    string."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object with rows/cols/re/im")
     for key in ("rows", "cols", "re", "im"):
         if key not in obj:
             raise ValueError(f"matrix JSON missing field {key!r}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _shape_field(obj, "rows"), _shape_field(obj, "cols")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
@@ -66,7 +75,7 @@ def frame_from_json(obj) -> FrameSequence:
     for key in ("d", "a", "vectors"):
         if key not in obj:
             raise ValueError(f"frame JSON missing field {key!r}")
-    d = int(obj["d"])
+    d = _shape_field(obj, "d")
     a = vector_from_json(obj["a"])
     cols = []
     for i, col in enumerate(obj["vectors"]):

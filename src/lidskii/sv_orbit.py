@@ -5,10 +5,12 @@ singular values s.  The additive singular-value inequality produces the
 global minimizer of norm(A - C) on the orbit by writing the candidate in
 the singular frames of A.  Local minimizers (for strictly convex norms) are
 exactly the matrices admitting a joint SVD with A; the certifier checks the
-two Hermitian products, runs the block-diagonal joint decomposition, and
-rejects bad candidates with explicit phase or rotation curves.  A candidate
-whose products are not Hermitian is rejected with a two-sided gradient flow
-when its sampled drop verifies, and is ``inconclusive`` otherwise.
+two Hermitian products, decomposes B in A's singular blocks under the rule
+of ``eig_orbit`` (the joint decomposition must describe B within
+``tol |B|_F``), and rejects bad candidates with phase or rotation curves
+that act on B itself.  A candidate whose products are not Hermitian is
+rejected with a two-sided gradient flow when its sampled drop verifies, and
+is ``inconclusive`` otherwise.
 """
 
 from dataclasses import dataclass
@@ -21,10 +23,10 @@ from .curves import DescentCurve, build_curve, log_grid, trim_to_descent
 from .majorization import sort_desc
 from .matrices import (
     _haar_qr,
-    as_hermitian,
     as_rng,
     check_tol,
     cluster_desc,
+    conj_t,
     frob,
     require_square,
     skew_exp,
@@ -38,10 +40,13 @@ ZERO_SV_REL = 1e-9
 
 @dataclass
 class JointSVD:
-    """Joint singular frames: U^H A V = diag(alpha), U^H B V = diag(beta).
+    """Joint singular frames: U^H A V = diag(alpha), U^H B V = diag(beta),
+    each within its Frobenius residual.
 
     alpha is s(A); beta is real and may carry signs or a non-monotone order,
-    which is exactly what certification inspects afterwards.
+    which is exactly what certification inspects afterwards.  residual_b is
+    B's mass off A's singular blocks and the skew-Hermitian part of its
+    blocks over nonzero singular values.
     """
 
     U: np.ndarray
@@ -110,16 +115,14 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
     """Simultaneous diagonalization of a pair with Hermitian products.
 
     Requires A^H B and A B^H Hermitian within ``tol * |A|_F |B|_F``, which
-    does not change when A or B is rescaled.  The off-block mass of B and
-    the Hermitian defect of each block of B over a nonzero singular value
-    of A are held to ``tol * |B|_F``, in B's own units, so a block that
-    barely registers in A^H B cannot be replaced by its Hermitian part.  The
-    algorithm reduces A to a scalar block form via its SVD, checks that B is
-    block diagonal with Hermitian blocks wherever the singular value of A is
-    nonzero, diagonalizes those blocks, and takes an SVD of the block over
-    the kernel of A.  The blocks are the ``cluster_desc`` groups of s(A),
-    the kernel at most ``ZERO_SV_REL * s_1(A)`` (all of it when A = 0).
-    Raises ValueError when a test fails.
+    does not change when A or B is rescaled.  The SVD of A gives its blocks,
+    the ``cluster_desc`` groups of s(A) and a kernel of the singular values
+    at most ``ZERO_SV_REL * s_1(A)`` (all of it when A = 0); B's block over
+    a nonzero singular value is replaced by its Hermitian part and
+    diagonalized, its kernel block gets an SVD.  As in ``eig_orbit``, the
+    result must describe B within ``tol * |B|_F``, in B's own units, so a
+    block that barely registers in A^H B cannot be replaced by its Hermitian
+    part.  Raises ValueError when a test fails.
     """
     tol = check_tol(tol)
     A, B = _pair(A, B)
@@ -128,35 +131,28 @@ def joint_svd(A, B, tol: float = 1e-8) -> JointSVD:
         raise ValueError(
             f"joint SVD requires Hermitian products: residuals ({rA:.3e}, {rB:.3e})"
         )
-    joint = _joint_blocks(A, B, tol)
-    if isinstance(joint, str):
-        raise ValueError(joint)
+    joint = _joint_blocks(A, B)
+    if joint.residual_b > tol * frob(B):
+        raise ValueError(
+            f"B is not diagonal in A's singular frames: residual {joint.residual_b:.3e} "
+            "exceeds tol |B|_F"
+        )
     return joint
 
 
-def _joint_blocks(A, B, tol):
+def _joint_blocks(A, B):
     """The block stage of ``joint_svd``, after its products test: the
-    JointSVD, or the reason B does not fit A's singular blocks."""
+    JointSVD from the Hermitian part of each block of B over a nonzero
+    singular value of A and an SVD of the block over A's kernel."""
     d = A.shape[0]
     V0, alpha, U0 = svd(A)
     B1 = V0 @ B @ U0.conj().T
-    clusters = cluster_desc(alpha)
-    # off-block mass signals numerical inconsistency with the hypothesis
-    mask = np.zeros((d, d), dtype=bool)
-    for idx in clusters:
-        mask[np.ix_(idx, idx)] = True
-    off_mass = frob(np.where(mask, 0.0, B1))
-    if off_mass > tol * frob(B):
-        return f"off-diagonal block mass {off_mass:.3e} exceeds tolerance"
     WL = np.zeros((d, d), dtype=np.complex128)
     WR = np.zeros((d, d), dtype=np.complex128)
     beta = np.empty(d)
-    for idx in clusters:
+    for idx in cluster_desc(alpha):
         blk = B1[np.ix_(idx, idx)]
         if float(np.max(alpha[idx])) > ZERO_SV_REL * alpha[0]:
-            herm_defect = frob(blk - blk.conj().T)
-            if herm_defect > tol * frob(B):
-                return f"non-Hermitian diagonal block (defect {herm_defect:.3e})"
             w, W = np.linalg.eigh((blk + blk.conj().T) / 2.0)
             WL[np.ix_(idx, idx)] = W[:, ::-1]
             WR[np.ix_(idx, idx)] = W[:, ::-1]
@@ -209,15 +205,16 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     """Certify or reject a candidate local minimizer on its singular orbit.
 
     Certification route: Hermitian products (within ``tol * |A|_F |B|_F``,
-    as in ``joint_svd``) -> joint SVD -> beta must be non-negative (else a
-    phase curve drops the objective) and monotonically aligned with alpha
-    (else the problem reduces to the Hermitian orbit on the diagonal pair
-    and a Givens curve, lifted by the joint frames, drops it).  Non-Hermitian
-    products get a two-sided gradient flow.  Each rejection needs its curve
-    to pass ``curves.trim_to_descent`` and is ``inconclusive`` otherwise;
-    products that pass while the block stage of ``joint_svd`` finds B off
-    A's blocks, or a block of B non-Hermitian, also give ``inconclusive``.
-    ``seed`` is accepted for compatibility; nothing reads it.
+    as in ``joint_svd``) -> a joint SVD that describes B within
+    ``tol * |B|_F``, as ``eig_orbit`` requires of its joint eigenbasis (else
+    ``inconclusive``) -> beta must be non-negative (else the phase curve
+    U W(t) U^H B drops the objective) and monotonically aligned with alpha
+    (else the Givens curve P_U(t) B P_V(t)^H, lifted from the diagonal pair
+    by both joint frames, drops it).  Both curves start at B and keep its
+    singular values.  Non-Hermitian products get a two-sided gradient flow.
+    Each rejection needs its curve to pass ``curves.trim_to_descent`` and is
+    ``inconclusive`` otherwise.  ``seed`` is accepted for compatibility;
+    nothing reads it.
     """
     if not norm.strictly_convex:
         raise ValueError("certification requires a strictly convex norm")
@@ -229,39 +226,37 @@ def certify_local(norm: NormSpec, A, B, tol: float = 1e-8, seed=0) -> SvCertific
     if max(rA, rB) > tol * scale:
         joint, witness = None, _nonhermitian_witness(norm, A, B)
     else:
-        joint = _joint_blocks(A, B, tol)
-        if isinstance(joint, str):
-            # the products pass, but B mixes singular blocks of A, or has a
-            # non-Hermitian block, by more than tol |B|_F: there is no joint
-            # SVD to certify from
+        joint = _joint_blocks(A, B)
+        if joint.residual_b > tol * frob(B):
+            # the products pass, but the joint SVD leaves more than
+            # tol |B|_F of B undescribed: there is none to certify from
             return SvCertificate("inconclusive", (rA, rB), None, None, psi0)
-        U, Vh, beta = joint.U, joint.V.conj().T, joint.beta
+        U, V, beta = joint.U, joint.V, joint.beta
         value = distance_from(norm, A)
         ell = int(np.argmin(beta))
         if beta[ell] < -tol * float(np.max(np.abs(beta))):
             # |alpha_ell - e^{it} beta_ell| strictly decreases on [0, pi], so
-            # turning the phase of the negative entry in B(t) = U W(t) D_beta
-            # V^H drops the objective while the singular values stay fixed
-            Db = np.diag(beta.astype(np.complex128))
+            # turning the phase of the negative pair by W(t) drops the
+            # objective while the singular values stay fixed
+            UhB = U.conj().T @ B
 
             def point(ts):
                 w = np.ones((ts.size, beta.size), dtype=np.complex128)
                 w[:, ell] = np.exp(1j * ts)
-                return U @ (w[:, :, np.newaxis] * Db) @ Vh
+                return U @ (w[:, :, np.newaxis] * UhB)
 
             curve = build_curve("phase", ell, point, value, log_grid(np.pi))
         else:
-            # beta >= 0: a misordering against alpha is one of the Hermitian
-            # diagonal pair, whose Givens rotation the joint frames lift
-            Gd = as_hermitian(np.diag(np.maximum(beta, 0.0)))
-            lam, nu, W, _ = eig_orbit.joint_diagonalize(np.diag(joint.alpha), Gd)
-            j = eig_orbit._first_inversion(lam, nu)
+            # beta >= 0, non-increasing inside each cluster of alpha: a
+            # misordering across a gap is one of the Hermitian diagonal pair,
+            # whose Givens rotation both joint frames lift
+            j = eig_orbit._first_inversion(joint.alpha, np.maximum(beta, 0.0))
             if j is None:
                 return SvCertificate("certified_global", (rA, rB), joint, None, psi0)
-            rotate = eig_orbit.givens_points(W, Gd, j)
 
             def point(ts):
-                return U @ rotate(ts) @ Vh
+                PU, PV = (eig_orbit.plane_rotations(X, j, ts) for X in (U, V))
+                return PU @ B @ conj_t(PV)
 
             curve = build_curve("givens", j, point, value, log_grid(eig_orbit.GIVENS_T_MAX))
         witness = trim_to_descent(curve)

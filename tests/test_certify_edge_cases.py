@@ -176,7 +176,7 @@ def test_joint_svd_tests_do_not_depend_on_scale():
     assert _sv_verdicts(A, B) == ["inconclusive"] * len(PAIR_SCALES)
     for c, c2 in PAIR_SCALES:
         assert sv_orbit.certify_local(NORM, c * A, c2 * B).joint is None
-        with pytest.raises(ValueError, match="non-Hermitian diagonal block"):
+        with pytest.raises(ValueError, match="not diagonal in A.s singular frames"):
             sv_orbit.joint_svd(c * A, c2 * B)
     rng = np.random.default_rng(77)
     for i in range(60):
@@ -305,12 +305,24 @@ def test_eig_and_sv_certifiers_agree_on_commuting_pairs(norm):
     """S = diag(1 + g, 1) and G0 = [[2, x], [x, 1]] commute to within tol,
     but no joint eigenbasis leaves less than about x off G0's diagonal:
     both certifiers refuse to certify them, as the products test and the
-    joint SVD do.  On commuting candidates, certified_global is given by
-    both or by neither."""
+    joint SVD do.  Both hold the joint decomposition to one rule, and at its
+    boundary agree again: leaving 0.5 tol |G0|_F off the diagonal
+    certifies, leaving 2 tol |G0|_F does not.  On commuting candidates,
+    certified_global is given by both or by neither."""
     for g, x in ((1e-6, 1e-3), (1e-6, 1e-2), (1e-5, 1e-3)):
         S, G0 = np.diag([1.0 + g, 1.0]), np.array([[2.0, x], [x, 1.0]])
         assert eig_orbit.certify_local(norm, S, G0).verdict == "inconclusive"
         assert sv_orbit.certify_local(norm, S, G0).verdict == "inconclusive"
+    tol = 1e-8
+    for r, verdict in ((0.5, "certified_global"), (2.0, "inconclusive")):
+        # S = diag(1.001, 1) leaves sqrt(2) x of G0 off the diagonal
+        x = r * tol * np.sqrt(5.0 / (2.0 - 2.0 * (r * tol) ** 2))
+        S, G0 = np.diag([1.001, 1.0]), np.array([[2.0, x], [x, 1.0]])
+        assert eig_orbit.joint_diagonalize(S, G0)[3] == pytest.approx(r * tol * frob(G0))
+        assert eig_orbit.certify_local(norm, S, G0, tol).verdict == verdict
+        assert sv_orbit.certify_local(norm, S, G0, tol).verdict == verdict
+    with pytest.raises(ValueError, match="not diagonal in A.s singular frames"):
+        sv_orbit.joint_svd(S, G0, tol)  # the pair at 2 tol
     rng = np.random.default_rng(23)
     certified = 0
     for i in range(40):
@@ -319,6 +331,31 @@ def test_eig_and_sv_certifiers_agree_on_commuting_pairs(norm):
         assert eig == (sv_orbit.certify_local(norm, S, G0).verdict == "certified_global")
         certified += eig
     assert certified == 20
+
+
+@pytest.mark.parametrize("norm", [frobenius(), schatten(3)], ids=["frobenius", "schatten3"])
+@pytest.mark.parametrize(
+    "beta, kind", [((1.0, -0.5, 0.25), "phase"), ((0.25, 1.0, 0.5), "givens")]
+)
+def test_sv_witnesses_start_at_B(norm, beta, kind):
+    """B = U (diag beta + eps E) V^H, which its joint SVD describes only
+    within about 5e-9 |B|_F: the phase and Givens curves act on B itself,
+    so they start at B and keep its singular values."""
+    rng = np.random.default_rng(31)
+    U, V = haar_unitary(3, rng), haar_unitary(3, rng)
+    A = (U * np.array([3.0, 2.0, 1.0])) @ V.conj().T
+    E = random_general(3, rng)
+    E -= np.diag(np.diag(E))
+    B = U @ (np.diag(beta) + 5e-9 * np.linalg.norm(beta) / frob(E) * E) @ V.conj().T
+    cert = sv_orbit.certify_local(norm, A, B)
+    assert cert.joint.residual_b == pytest.approx(5e-9 * frob(B), rel=1e-3)
+    curve = cert.descent_witness
+    assert cert.verdict == "not_local_min" and curve.kind == kind
+    assert frob(curve.point(0.0) - B) <= 1e-13 * frob(B)
+    s = np.linalg.svd(B, compute_uv=False)
+    for t in curve.ts:
+        st = np.linalg.svd(curve.point(float(t)), compute_uv=False)
+        assert np.max(np.abs(st - s)) <= 1e-13 * s[0]
 
 
 NON_FINITE_TOL_CALLS = {

@@ -433,6 +433,25 @@ def test_fitted_eigenvalues_match_rayleigh():
         assert resid[j] >= 0
 
 
+DIM_MISMATCH_CALLS = {
+    "frame_operator_distance": lambda S, G: frame_operator_distance(frobenius(), S, G),
+    "fitted_eigenvalues": fitted_eigenvalues,
+    "structure_check": lambda S, G: structure_check(frobenius(), S, G),
+    "certify_uniform_eigenvalue": lambda S, G: certify_uniform_eigenvalue(frobenius(), S, G),
+    "gradient_norm": lambda S, G: frames.gradient_norm(frobenius(), S, G),
+    "escape_move": lambda S, G: escape_move(S, G, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIM_MISMATCH_CALLS))
+def test_frame_functions_reject_a_target_of_another_dimension(entry):
+    """A 1 x 1 S against a frame in C^3 once broadcast into a result (three
+    fitted values, a gradient norm, not_applicable, no escape curve)."""
+    G = random_frame(3, [1.0, 1.0, 1.0], 0)
+    with pytest.raises(ValueError, match="dim mismatch: 1 vs 3"):
+        DIM_MISMATCH_CALLS[entry](np.array([[2.0]]), G)
+
+
 def _restart_instance(seed):
     rng = np.random.default_rng(seed)
     lam = sort_desc(rng.uniform(0, 3, 3))

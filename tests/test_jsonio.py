@@ -68,3 +68,14 @@ def test_certificate_serialization_embeds_witness():
     assert end.shape == (2, 2)
     text = jsonio.dumps(payload)
     assert json.loads(text) == json.loads(jsonio.dumps(payload))
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", -1, None], ids=repr)
+@pytest.mark.parametrize("field", ["rows", "cols", "d"])
+def test_shape_fields_must_be_non_negative_integers(field, bad):
+    """rows 2.7 was read as 2, true as 1 and "2" as 2, and d 2.9 as 2."""
+    obj = jsonio.frame_to_json(random_frame(2, [1.0, 1.0], 0))
+    target = obj if field == "d" else obj["vectors"][0]
+    target[field] = bad
+    with pytest.raises(ValueError, match=f"'{field}' must be a non-negative integer"):
+        jsonio.frame_from_json(json.loads(json.dumps(obj)))

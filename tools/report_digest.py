@@ -8,7 +8,10 @@ Prints one sha256 per output:
   operations at seeds 0, 1 and 2 (30 instances, 360 CLI calls each), with
   the count of each exit code per operation kind (``certify-eig``,
   ``certify-sv``, ...), so a verdict that moves from one certifier to the
-  other shows even when the pooled counts do not;
+  other shows even when the pooled counts do not, then one
+  ``certify seed=<s> kind=<kind>`` line per kind with the first 16 hex
+  digits of the sha256 of that kind's exit codes and reports alone, so a
+  change that moves only one kind's reports shows which;
 * ``frame_opt``: the reports of the 16 fod-optimize operations, then one
   ``frame_opt op=<i>`` line per operation with the first 16 hex digits of
   the sha256 of its exit code and report, so a change shows which
@@ -48,10 +51,12 @@ SAMPLING_INSTANCES = 21  # the benchmark's sampling pool
 
 def _run_ops(ops, workdir):
     """Run each operation; returns the sha256 of its exit codes and reports,
-    the count of each exit code per operation kind, and the sha256 of each
-    operation's exit code and report alone."""
+    the count of each exit code per operation kind, the sha256 of each
+    operation's exit code and report alone, and the sha256 of each kind's
+    exit codes and reports in order."""
     digest = hashlib.sha256()
     codes = collections.defaultdict(collections.Counter)
+    per_kind = collections.defaultdict(hashlib.sha256)
     per_op = []
     out = os.path.join(workdir, "out.json")
     for op in ops:
@@ -61,10 +66,11 @@ def _run_ops(ops, workdir):
             report = fh.read()
         record = f"{op.kind} {code}\n".encode() + report
         digest.update(record)
+        per_kind[op.kind].update(record)
         per_op.append(hashlib.sha256(record).hexdigest())
     return digest.hexdigest(), {
         kind: dict(sorted(counts.items())) for kind, counts in sorted(codes.items())
-    }, per_op
+    }, per_op, {kind: h.hexdigest() for kind, h in sorted(per_kind.items())}
 
 
 def _descents(instances):
@@ -122,10 +128,14 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for seed in CERTIFY_SEEDS:
             work = os.path.join(tmp, f"certify-{seed}")
-            sha, codes, _ = _run_ops(workloads.certify_ops(seed, work, CERTIFY_INSTANCES), work)
+            sha, codes, _, per_kind = _run_ops(
+                workloads.certify_ops(seed, work, CERTIFY_INSTANCES), work
+            )
             print(f"certify seed={seed} {sha} exits={codes}")
+            for kind, kind_sha in per_kind.items():
+                print(f"certify seed={seed} kind={kind} {kind_sha[:16]}")
         work = os.path.join(tmp, "frame_opt")
-        sha, codes, per_op = _run_ops(
+        sha, codes, per_op, _ = _run_ops(
             workloads.frame_opt_ops(0, work, workloads.FRAME_CORPUS_SIZE), work
         )
         print(f"frame_opt {sha} exits={codes}")
