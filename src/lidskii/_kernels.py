@@ -3,9 +3,10 @@
 ``lockstep_descent`` runs projected descent on the product of spheres for a
 ``(B, d, k)`` stack of frames at once: every restart keeps its own step size,
 backtracking and stop state, and restarts that stop leave the active stack.
-Each restart starts its Armijo backtracking from a Barzilai-Borwein step
-built from its own last move, so ``eigvalsh`` of S_G runs only for the
-restarts that fall back to the fixed step 1 / (8 lam_1(S_G) + 1).
+Each restart backtracks from a Barzilai-Borwein step built from its own
+last move, so ``eigvalsh`` of S_G runs only for the restarts that fall back
+to the fixed step 1 / (8 lam_1(S_G) + 1); the objective's ``ceiling`` says
+which value a step may reach.
 Every stacked operation it uses (matmul, ``eigvalsh``, ``svd``, the
 reductions) gives each slice the bits it gives that slice alone, so a
 restart descends exactly as it would in a batch of one.  ``frame_descent`` is
@@ -69,10 +70,6 @@ class SquaredFrobenius:
         return -4.0 * (X @ G)
 
     @staticmethod
-    def slope(g2):
-        return g2
-
-    @staticmethod
     def slack(F):
         return 64.0 * _EPS * (1.0 + F)
 
@@ -86,8 +83,9 @@ class NormDistance:
     """norm(S - S_G) for a smooth strictly convex norm, Euclidean gradient
     -2 P g_i with P the norm's gradient at S - S_G.
 
-    Armijo backtracking from the descent's BB step, at most 50 halvings;
-    a step within 1e-15 (1 + value) of the current value is also accepted.
+    Backtracking from the descent's BB step, at most 50 halvings, accepts
+    any step that rises by at most 1e-15 (1 + value): there is no
+    sufficient-decrease condition, so ``armijo_c`` is not read.
 
     A restart stops without progress once, over the last ``window``
     iterations, its gradient norm has set no new minimum and its value has
@@ -113,19 +111,13 @@ class NormDistance:
         return -2.0 * (norm_gradient(self.norm, X) @ G)
 
     @staticmethod
-    def slope(g2):
-        # the squared gradient norm as sqrt(g2) ** 2 in the C library's pow,
-        # which differs from g2 and from NumPy's square in the last bit
-        return np.array([math.pow(g, 2.0) for g in np.sqrt(g2).tolist()])
-
-    @staticmethod
     def slack(F):
         return 1e-15 * (1.0 + F)
 
     @staticmethod
     def ceiling(F, needed, slack, up):
-        """Largest accepted value: the Armijo bound or F + slack."""
-        return np.maximum(F - needed, up)
+        """Largest accepted value: F + slack."""
+        return up
 
 
 def _riemannian_gradient(objective, X, G, a):
@@ -146,9 +138,12 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
     differences: BB1 = <s,s> / Re<s,y> on odd iterations and BB2 =
     Re<s,y> / <y,y> on even ones.  On iteration 0, and where Re<s,y> <= 0
     or the quotient is not finite, it falls back to 1 / (8 lam_1(S_G) + 1),
-    and only those restarts pay for ``eigvalsh``.  The line search accepts
-    no step that raises the objective by more than its ``slack``, so each
-    trace is non-increasing to within that slack.
+    and only those restarts pay for ``eigvalsh``.  A step is accepted when
+    its value is at most ``objective.ceiling``: the squared Frobenius
+    objective asks the Armijo decrease ``armijo_c`` eta |RG|^2 while that is
+    resolvable, the norm distance only that the value rise by no more than
+    its ``slack``.  No step raises the objective by more than the slack, so
+    each trace is non-increasing to within it.
 
     A restart stops when its gradient norm falls below ``grad_tol``
     (CONVERGED), when no backtracked step is accepted (STALLED), when its
@@ -240,7 +235,7 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
         if any(fall.tolist()):
             eta[fall] = 1.0 / (8.0 * np.linalg.eigvalsh(SG[fall])[:, -1] + 1.0)
         Gprev, RGprev = G, RG
-        slope = objective.slope(g2)
+        g2p = g2
         slack = objective.slack(F)
         up = F + slack
 
@@ -254,7 +249,7 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
             SGc = Gc @ conj_t(Gc)
             Xc = S - SGc
             Fc = objective.value(Xc)
-            ok = Fc <= objective.ceiling(Fp, armijo_c * eta * slope, slack, up)
+            ok = Fc <= objective.ceiling(Fp, armijo_c * eta * g2p, slack, up)
             accepted = ok.tolist()
             if all(accepted):
                 if pend is None:
@@ -269,7 +264,7 @@ def lockstep_descent(objective, S, G0, a, max_iters, grad_tol, armijo_c, backtra
                 took = pend[ok]
                 G[took], SG[took], X[took], F[took] = Gc[ok], SGc[ok], Xc[ok], Fc[ok]
                 miss = ~ok
-                pend, eta, slope, slack, up = (v[miss] for v in (pend, eta, slope, slack, up))
+                pend, eta, g2p, slack, up = (v[miss] for v in (pend, eta, g2p, slack, up))
                 Gp, RGp, Fp = G[pend], RG[pend], F[pend]
             eta = eta * backtrack
         else:

@@ -172,9 +172,15 @@ def psd_lower_bound(norm: NormSpec, S, t: float):
 def _psd_eigh(S):
     """``eigh`` of a PSD S, its eigenvalues clipped at 0 (ValueError if not PSD)."""
     lam, V = eigh(S)
+    _check_psd(lam)
+    return np.maximum(lam, 0.0), V
+
+
+def _check_psd(lam):
+    """ValueError unless the non-increasing spectrum ``lam`` of a target is
+    PSD: its last value may fall below 0 by at most 1e-10 |lam_1|."""
     if lam[-1] < -1e-10 * abs(lam[0]):
         raise ValueError("target must be positive semidefinite")
-    return np.maximum(lam, 0.0), V
 
 
 def relaxation_minimizer(S, a) -> FrameSequence:
@@ -298,23 +304,6 @@ class FodStructureReport:
     witness: str | None
 
 
-def _fitted_clusters(fitted, vectors, *scale):
-    """Fitted-eigenvalue clusters, ascending, at the gap threshold of ``scale``,
-    with the rank of each cluster's span."""
-    order = np.argsort(fitted)[::-1]
-    groups_desc = []
-    for idx in cluster_desc(fitted[order], *scale):
-        groups_desc.append(order[idx])
-    clusters = []
-    for members in reversed(groups_desc):
-        members = np.sort(members)
-        cols = vectors[:, members]
-        sv = np.linalg.svd(cols, compute_uv=False)
-        rank = int(np.sum(sv > NULLSPACE_TOL * sv[0])) if sv[0] > 0 else 0
-        clusters.append((float(np.mean(fitted[members])), members, rank))
-    return clusters
-
-
 def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> FodStructureReport:
     """Evaluate the structural conditions a local minimizer must satisfy.
 
@@ -341,13 +330,18 @@ def structure_check(norm: NormSpec, S, G0: FrameSequence, tol: float = 1e-6) -> 
     lamS, lamS0 = eigvalsh_desc(S), eigvalsh_desc(S0)
     scale = frob(S) + frob(S0)
     aligned = bool(np.max(np.abs(lamE - sort_desc(lamS - lamS0))) <= tol * scale)
+    # the fitted-value clusters in ascending order, each with the rank of
+    # its vectors' span
     gap = gap_threshold(lamS, lamS0)
+    order = np.argsort(fitted)[::-1]
     clusters = []
-    for value, members, rank in _fitted_clusters(fitted, G0.vectors, lamS, lamS0):
+    for idx in reversed(cluster_desc(fitted[order], lamS, lamS0)):
+        members = np.sort(order[idx])
+        sv = np.linalg.svd(G0.vectors[:, members], compute_uv=False)
+        rank = int(np.sum(sv > NULLSPACE_TOL * sv[0])) if sv[0] > 0 else 0
+        value = float(np.mean(fitted[members]))
         required = bool(np.any(lamE > value + gap))
-        clusters.append(
-            ClusterInfo(value, members, rank, required, rank == members.size)
-        )
+        clusters.append(ClusterInfo(value, members, rank, required, rank == members.size))
     verdict, witness = "consistent_with_local_min", None
     worst = int(np.argmax(resid))
     if resid[worst] > tol * scale:
@@ -388,8 +382,7 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
     G0.validate()
     S = _target(S, G0)
     lamS = eigvalsh_desc(S)
-    if lamS[-1] < -tol * abs(lamS[0]):
-        raise ValueError("target must be positive semidefinite")
+    _check_psd(lamS)
     S0 = frame_operator(G0)
     E = S - S0
     V = G0.vectors
@@ -409,7 +402,9 @@ def certify_uniform_eigenvalue(norm: NormSpec, S, G0: FrameSequence, tol: float 
 @dataclass
 class DescentOptions:
     """Descent settings; ``max_iters`` None is the objective's own budget
-    (20000 iterations for the squared Frobenius distance, 4000 for a norm)."""
+    (20000 iterations for the squared Frobenius distance, 4000 for a norm).
+    Only the squared Frobenius distance reads ``armijo_c``: the norm
+    descent has no sufficient-decrease condition."""
 
     max_iters: int | None = None
     grad_tol: float = 1e-9
@@ -445,9 +440,9 @@ def descend_restarts(norm: NormSpec, S, a, seeds, opts: DescentOptions | None = 
     The Frobenius norm descends the squared distance as ``gradient_descent``
     does.  Every other smooth strictly convex norm descends the norm value
     (default budget 4000 iterations) with the same retraction,
-    Barzilai-Borwein step and gradient-norm test, and Armijo backtracking on
-    the norm value itself (a step within 1e-15 (1 + value) of the current
-    value is also accepted).  It adds a no-progress stop (see
+    Barzilai-Borwein step and gradient-norm test; its backtracking accepts
+    any step that raises the norm value by at most 1e-15 (1 + value), with
+    no Armijo condition.  It adds a no-progress stop (see
     ``DescentTrace``): at an attainable target the norm is not
     differentiable at the optimum, so the gradient norm does not fall below
     ``grad_tol`` and without it a descent would run to the budget.
@@ -504,39 +499,30 @@ def gradient_descent(S, a, seed=0, opts: DescentOptions | None = None):
 def escape_move(S, G0: FrameSequence, cluster_index: int):
     """Descent curve off a linearly dependent fitted-eigenvalue cluster.
 
-    Applicable when the cluster's vectors are dependent and some eigenvalue
-    of S - S_G strictly exceeds the cluster value: a kernel combination of
-    the cluster is traded against an eigenvector of the larger eigenvalue,
-    staying on the spheres while the spectrum strictly drops in majorization
-    order.  Returns None when the preconditions fail or the curve does not
-    pass ``curves.trim_to_descent``; sampled values use the Frobenius norm
-    (the guarantee covers every strictly convex norm).
+    Applicable when ``structure_check`` marks the cluster dependent: its
+    vectors are dependent and the largest eigenvalue of S - S_G strictly
+    exceeds the cluster value.  A kernel combination of the cluster is
+    traded against an eigenvector of that eigenvalue, staying on the
+    spheres while the spectrum strictly drops in majorization order.
+    Returns None when the cluster is independent or need not be, or when
+    the curve does not pass ``curves.trim_to_descent``; sampled values use
+    the Frobenius norm (the guarantee covers every strictly convex norm).
     """
     norm = frobenius()
-    G0.validate()
-    S = _target(S, G0)
-    S0 = frame_operator(G0)
-    E = S - S0
-    fitted, _resid = fitted_eigenvalues(S, G0)
-    lamS, lamS0 = eigvalsh_desc(S), eigvalsh_desc(S0)
-    clusters = _fitted_clusters(fitted, G0.vectors, lamS, lamS0)
+    clusters = structure_check(norm, S, G0).clusters
     if not 0 <= cluster_index < len(clusters):
         raise ValueError(f"cluster index {cluster_index} out of range")
-    c_val, members, rank = clusters[cluster_index]
-    if rank >= members.size:
+    info = clusters[cluster_index]
+    if info.independent or not info.independence_required:
         return None
-    lamE, VE = eigh(E)
-    above = np.where(lamE > c_val + gap_threshold(lamS, lamS0))[0]
-    if above.size == 0:
-        return None
-    target = above[0]  # largest eigenvalue strictly above the cluster
-    h = VE[:, target].copy()
+    members, rank = info.indices, info.span_dim
+    S = _target(S, G0)
+    h = eigh(S - frame_operator(G0))[1][:, 0]  # for the largest eigenvalue
     # scaled kernel combination: sum conj(z_l) sqrt(a_l) g_l = 0
     cols = G0.vectors[:, members] * np.sqrt(G0.norms[members])[np.newaxis, :]
     w_span, sv, vt = np.linalg.svd(cols)
     # right null vector of cols is conj(vt[-1]), so cols @ conj(z) = 0 here
-    z = vt[-1].copy()
-    z = z * (0.5 / np.max(np.abs(z)))
+    z = vt[-1] * (0.5 / np.max(np.abs(vt[-1])))
     # keep the spheres exact: h must be orthogonal to the traded vectors,
     # i.e. to the actual span (rank many left singular vectors)
     q = w_span[:, :rank]

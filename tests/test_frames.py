@@ -324,6 +324,21 @@ def test_certify_uniform_eigenvalue_examples():
         certify_uniform_eigenvalue(frobenius(), np.eye(3), frame(np.eye(3, 2)))
 
 
+def test_frame_psd_checks_share_one_rule():
+    # lam_2(S) = -1e-9 lies outside the PSD rule the relaxation bound uses;
+    # the certificate, which rests on that bound, once let it through
+    # against its own tol |lam_1| and certified this frame
+    S = np.diag([1.0, -1e-9])
+    G = FrameSequence(np.array([[0.5, 0.5], [0.0, 0.0]]), [0.25, 0.25])
+    for call in (
+        lambda: certify_uniform_eigenvalue(frobenius(), S, G),
+        lambda: psd_lower_bound(frobenius(), S, 0.5),
+        lambda: relaxation_minimizer(S, G.norms),
+    ):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            call()
+
+
 def test_gradient_descent_recovers_constructed_minimum():
     rng = np.random.default_rng(2)
     d, k = 3, 4
@@ -389,10 +404,15 @@ def test_subgradient_descent_explores_nonfrobenius():
         frames.descend_restarts(spectral(), S, [1.0, 1.0], [0])
 
 
-def test_escape_move_spec_instances():
+def _collinear_frame():
+    """Two unit vectors, both e_1: one cluster, of rank 1."""
     V = np.zeros((2, 2), dtype=complex)
     V[0, :] = 1.0
-    G0 = FrameSequence(V, [1.0, 1.0])
+    return FrameSequence(V, [1.0, 1.0])
+
+
+def test_escape_move_spec_instances():
+    G0 = _collinear_frame()
     # no eigenvalue above the cluster: preconditions unmet
     assert escape_move(np.diag([3.0, 0.0]), G0, 0) is None
     curve = escape_move(np.diag([2.0, 5.0]), G0, 0)
@@ -403,6 +423,33 @@ def test_escape_move_spec_instances():
     assert curve.verified_drop > 1e-12
     # independent cluster: rank gate returns None
     assert escape_move(np.diag([2.0, 5.0]), _basis_frame(2), 0) is None
+
+
+def _escape_instances():
+    """The instances above, then criterion 10's 50 dependent-cluster draws."""
+    yield np.diag([3.0, 0.0]), _collinear_frame()
+    yield np.diag([2.0, 5.0]), _collinear_frame()
+    yield np.diag([2.0, 5.0]), _basis_frame(2)
+    rng = np.random.default_rng(110)
+    for _ in range(50):
+        S, G0, _idx = dependent_cluster_instance(int(rng.integers(2, 5)), rng)
+        yield S, G0
+
+
+def test_escape_move_follows_the_structure_report():
+    # every cluster structure_check reports: no curve off an independent
+    # cluster or one that need not be independent, a dropping curve off
+    # each dependent one
+    dependent = 0
+    for S, G0 in _escape_instances():
+        for idx, info in enumerate(structure_check(frobenius(), S, G0).clusters):
+            curve = escape_move(S, G0, idx)
+            if info.independent or not info.independence_required:
+                assert curve is None
+            else:
+                dependent += 1
+                assert curve is not None and curve.verified_drop > 0
+    assert dependent == 51
 
 
 def test_escape_move_fuzz_valid_curves():

@@ -21,9 +21,9 @@ from oracles import frame_descent_serial, norm_descent_serial, orbit_spectra_loo
 import lidskii
 from lidskii import _kernels, eig_orbit, sv_orbit
 from lidskii.backend import backend_name
-from lidskii.frames import frame_operator, random_frame
+from lidskii.frames import DescentOptions, descend_restarts, frame_operator, random_frame
 from lidskii.matrices import haar_unitary, random_hermitian
-from lidskii.norms import schatten
+from lidskii.norms import frobenius, schatten
 
 
 def _gaussians(rng, n, d):
@@ -354,9 +354,19 @@ def test_frame_descent_trace_monotone():
     assert np.all(np.diff(trace) <= slack)
 
 
-def test_norm_slope_squares_like_the_scalar_loop():
-    # the one-restart loop squared the gradient norm as a Python float,
-    # which rounds through the C library's pow, not through x * x
-    g2 = np.random.default_rng(4).uniform(1e-20, 1e3, 10000)
-    expected = [float(np.sqrt(x)) ** 2 for x in g2]
-    assert _kernels.NormDistance.slope(g2).tolist() == expected
+def test_armijo_c_affects_only_the_squared_frobenius_objective():
+    # the norm descent accepts any step that rises by at most its slack, so
+    # a demanding Armijo constant gives it bitwise the default run; the
+    # squared Frobenius descent reads the constant
+    S, a, seed, _V = _criterion_09_instance(3)
+    seeds = range(seed, seed + 4)
+    demanding = DescentOptions(armijo_c=0.75)
+    runs = [descend_restarts(schatten(3), S, a, seeds, opts) for opts in (None, demanding)]
+    for (G, tr), (G_c, tr_c) in zip(*runs):
+        assert np.array_equal(G.vectors, G_c.vectors)
+        assert np.array_equal(tr.objective, tr_c.objective)
+        assert (tr.stop, tr.grad_norm) == (tr_c.stop, tr_c.grad_norm)
+    runs = [descend_restarts(frobenius(), S, a, seeds, opts) for opts in (None, demanding)]
+    assert any(
+        not np.array_equal(tr.objective, tr_c.objective) for (_G, tr), (_Gc, tr_c) in zip(*runs)
+    )

@@ -22,6 +22,8 @@ Prints one sha256 per output:
   acceptance criterion 09's 100 × 8 restarts, from
   ``tests/oracles.criterion_09_instances`` through ``frames.descend_restarts``,
   with the count of converged restarts;
+* ``descents schatten:3``: the same record of the same restarts under the
+  Schatten-3 norm, which descends the norm value (``_kernels.NormDistance``);
 * ``sampling``: the float64 sample values of the benchmark's 21 sampling
   operations at seed 0, with the count of operations whose check passes,
   then one ``sampling op=<i>`` line per operation with the first 16 hex
@@ -73,13 +75,12 @@ def _run_ops(ops, workdir):
     }, per_op, {kind: h.hexdigest() for kind, h in sorted(per_kind.items())}
 
 
-def _descents(instances):
-    """sha256 of every restart's final θ, iterations, stop and gradient
-    norm, in instance and seed order, and the count of converged restarts."""
+def _descents(instances, norm):
+    """sha256 of every restart's final θ under ``norm``, iterations, stop and
+    gradient norm, in instance and seed order, and the count of converged
+    restarts."""
     from lidskii import frames
-    from lidskii.norms import frobenius
 
-    norm = frobenius()
     digest = hashlib.sha256()
     converged = total = 0
     for S, a, seeds in instances:
@@ -118,6 +119,7 @@ def main(argv=None):
 
     import lidskii
     from lidskii import cli
+    from lidskii.norms import frobenius, schatten
 
     import oracles
     import workloads
@@ -149,8 +151,11 @@ def main(argv=None):
             with open(out, "rb") as fh:
                 sha = hashlib.sha256(fh.read()).hexdigest()
             print(f"property-suite {scale} seed={seed} {sha} exit={code}")
-    sha, converged = _descents(oracles.criterion_09_instances())
+    instances = oracles.criterion_09_instances()
+    sha, converged = _descents(instances, frobenius())
     print(f"descents {sha} converged={converged}")
+    sha, converged = _descents(instances, schatten(3))
+    print(f"descents schatten:3 {sha} converged={converged}")
     # the sampling operations write nothing: they take no work directory
     sha, passed, per_op = _sampling(workloads.sampling_ops(SAMPLING_SEED, None, SAMPLING_INSTANCES))
     print(f"sampling {sha} ok={passed}")
