@@ -326,18 +326,14 @@ def _blockwise(n, draw, work):
 
     ``draw`` runs on the calling thread, one block after the other, so a
     Generator it reads gives the stream one loop over the blocks reads.
-    ``work`` runs on a pool of one thread per CPU, with at most workers + 1
-    blocks in flight; with one CPU it runs inline.  It may call NumPy and
-    private helpers only: the per-layer tracer wraps every public function
-    of the layer modules and keeps a single-threaded span stack.
+    ``work`` runs on a pool of one thread per CPU, one CPU included, with
+    at most workers + 1 blocks in flight.  It may call NumPy and private
+    helpers only: the per-layer tracer wraps every public function of the
+    layer modules and keeps a single-threaded span stack.
     """
     global _pool
     blocks = [slice(i, min(i + SAMPLE_BLOCK, n)) for i in range(0, n, SAMPLE_BLOCK)]
     workers = _cpus()
-    if workers < 2:
-        for block in blocks:
-            yield block, work(*draw(block))
-        return
     if _pool is None:
         # two threads that get here at once each make a pool; the one that
         # is dropped is collected, and its idle threads exit

@@ -252,58 +252,54 @@ def cluster_desc(values, *scale):
     return groups
 
 
-def _herm_traceless_basis(d: int):
-    """Orthonormal real basis of the traceless Hermitian matrices (d^2 - 1)."""
-    basis = []
+def _herm_traceless_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of the traceless Hermitian matrices, a
+    ``(d^2 - 1, d, d)`` stack: for each i < j the real and then the
+    imaginary symmetric pair on (i, j), then the d - 1 diagonal ones."""
+    i, j = np.triu_indices(d, 1)
+    off = 2 * len(i)
+    re = np.arange(0, off, 2)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d), dtype=np.complex128)
-            E[i, j] = inv_sqrt2
-            E[j, i] = inv_sqrt2
-            basis.append(E)
-            F = np.zeros((d, d), dtype=np.complex128)
-            F[i, j] = 1j * inv_sqrt2
-            F[j, i] = -1j * inv_sqrt2
-            basis.append(F)
-    for m in range(1, d):
-        diag = np.zeros(d)
-        diag[:m] = 1.0
-        diag[m] = -float(m)
-        diag /= np.linalg.norm(diag)
-        basis.append(np.diag(diag).astype(np.complex128))
+    basis = np.zeros((d * d - 1, d, d), dtype=np.complex128)
+    basis[re, i, j] = basis[re, j, i] = inv_sqrt2
+    basis[re + 1, i, j] = 1j * inv_sqrt2
+    basis[re + 1, j, i] = -1j * inv_sqrt2
+    # diagonal m: ones before m, -m at m, over the norm sqrt(m (m + 1))
+    m = np.arange(1.0, d)[:, np.newaxis]
+    k = np.arange(d)
+    basis[off:, k, k] = ((k < m) - m * (k == m)) / np.sqrt(m * (m + 1.0))
     return basis
 
 
-def _complex_basis(d: int):
-    """Real basis of M_d(C) viewed as a 2 d^2 dimensional real space."""
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=np.complex128)
-            E[i, j] = 1.0
-            basis.append(E)
-            F = np.zeros((d, d), dtype=np.complex128)
-            F[i, j] = 1j
-            basis.append(F)
-    return basis
+def _complex_basis(d: int) -> np.ndarray:
+    """Real basis of M_d(C) viewed as a 2 d^2 dimensional real space, a
+    ``(2 d^2, d, d)`` stack: E_ij and then i E_ij for each entry in row-major
+    order."""
+    n = np.arange(d * d)
+    basis = np.zeros((d * d, 2, d * d), dtype=np.complex128)
+    basis[n, 0, n] = 1.0
+    basis[n, 1, n] = 1j
+    return basis.reshape(2 * d * d, d, d)
 
 
-def _realvec(*mats) -> np.ndarray:
-    parts = []
-    for M in mats:
-        parts.append(M.real.ravel())
-        parts.append(M.imag.ravel())
-    return np.concatenate(parts)
+def _unit(M) -> np.ndarray:
+    """M over its Frobenius norm; a zero matrix stays zero."""
+    norm = frob(M)
+    return M / norm if norm else M
 
 
-def _kernel(system: np.ndarray, tol: float):
-    """Numerical kernel of a real matrix with more rows than columns: its
-    dimension (singular values below tol * s_max) and the last right
-    singular vector, which lies in the kernel when it is not trivial."""
+def _kernel(images, tol: float):
+    """Numerical kernel of the real-linear map whose components take n basis
+    elements to the ``(n, d, d)`` stacks ``images``: its real system has a
+    column per element and the real, then imaginary, rows of each component.
+    Returns the kernel dimension (singular values below tol * s_max) and the
+    last right singular vector, a kernel element when there is one."""
+    n = len(images[0])
+    rows = [part.reshape(n, -1) for M in images for part in (M.real, M.imag)]
+    system = np.concatenate(rows, axis=1).T
     _, sv, vt = np.linalg.svd(system)
     if sv[0] == 0.0:
-        return system.shape[1], vt[-1]
+        return n, vt[-1]
     return int(np.sum(sv < tol * sv[0])), vt[-1]
 
 
@@ -311,13 +307,16 @@ def commutant_is_trivial(S, G0, tol: float = NULLSPACE_TOL):
     """Decide whether the joint commutant of two Hermitians is C * I.
 
     Assembles the real-linear map Y -> ([Y, S], [Y, G0]) on the traceless
-    Hermitian matrices and inspects its numerical kernel.  A trivial kernel
-    is equivalent to the two-sided conjugation difference map being a
-    submersion at the identity.
+    Hermitian matrices, each operand scaled to unit Frobenius norm (zero
+    stays zero) so that rescaling either keeps the verdict, and inspects
+    its numerical kernel.  A trivial kernel is equivalent to the two-sided
+    conjugation difference map being a submersion at the identity.
 
     Returns ``(is_trivial, kernel_dim)``; for d = 1 there are no traceless
-    Hermitians and the commutant is C * I, so ``(True, 0)``.
+    Hermitians and the commutant is C * I, so ``(True, 0)``.  Raises
+    ValueError unless ``tol`` is positive and finite.
     """
+    tol = check_tol(tol)
     S = as_hermitian(S)
     G0 = as_hermitian(G0)
     if S.shape != G0.shape:
@@ -325,9 +324,8 @@ def commutant_is_trivial(S, G0, tol: float = NULLSPACE_TOL):
     d = S.shape[0]
     if d == 1:
         return True, 0
-    basis = _herm_traceless_basis(d)
-    cols = [_realvec(Y @ S - S @ Y, Y @ G0 - G0 @ Y) for Y in basis]
-    kdim, _ = _kernel(np.stack(cols, axis=1), tol)
+    Y = _herm_traceless_basis(d)
+    kdim, _ = _kernel([Y @ M - M @ Y for M in (_unit(S), _unit(G0))], tol)
     return kdim == 0, kdim
 
 
@@ -335,33 +333,28 @@ def pair_submersion_test(A, B, tol: float = NULLSPACE_TOL):
     """Kernel test for the two-sided orbit difference map on a matrix pair.
 
     The map is a submersion at the identity exactly when the only Z with
-    A^H Z, A Z^H, B^H Z, B Z^H all Hermitian is Z = 0.  Returns
-    ``(is_submersion, kernel_dim, witness)`` where the witness is a
-    unit-Frobenius-norm kernel element (None when the kernel is trivial).
+    A^H Z, A Z^H, B^H Z, B Z^H all Hermitian is Z = 0; A and B are scaled
+    to unit Frobenius norm first (zero stays zero), as in
+    ``commutant_is_trivial``.  Returns ``(is_submersion, kernel_dim,
+    witness)`` where the witness is a unit-Frobenius-norm kernel element
+    (None when the kernel is trivial).  Raises ValueError unless ``tol`` is
+    positive and finite.
     """
+    tol = check_tol(tol)
     A = require_square(A)
     B = require_square(B)
     if A.shape != B.shape:
         raise ValueError(f"dim mismatch: {A.shape} vs {B.shape}")
     d = A.shape[0]
-    Ah, Bh = A.conj().T, B.conj().T
-    basis = _complex_basis(d)
-    cols = []
-    for Z in basis:
-        Zh = Z.conj().T
-        cols.append(
-            _realvec(
-                A @ Zh - Z @ Ah,
-                Ah @ Z - Zh @ A,
-                B @ Zh - Z @ Bh,
-                Bh @ Z - Zh @ B,
-            )
-        )
-    kdim, coeffs = _kernel(np.stack(cols, axis=1), tol)
+    Z = _complex_basis(d)
+    Zh = conj_t(Z)
+    images = []
+    for M in (_unit(A), _unit(B)):
+        Mh = M.conj().T
+        images += [M @ Zh - Z @ Mh, Mh @ Z - Zh @ M]
+    kdim, c = _kernel(images, tol)
     if kdim == 0:
         return True, 0, None
-    Z = np.zeros((d, d), dtype=np.complex128)
-    for c, E in zip(coeffs, basis):
-        Z += c * E
-    Z /= frob(Z)
-    return False, kdim, Z
+    # coefficients of E_ij and i E_ij, summed from +0 as over the basis
+    W = (0.0 + c[0::2] + 1j * c[1::2]).reshape(d, d)
+    return False, kdim, W / frob(W)

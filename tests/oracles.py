@@ -1,21 +1,22 @@
 """Independent oracles used by the unit and acceptance tests.
 
-These deliberately take different computational routes than the library:
-the kernel systems are assembled from Kronecker products and commutation
-matrices acting on realified coordinates (the library loops over structured
-basis matrices), water filling is solved by bisection (the library
-solves the piecewise-linear equation in closed form), the orbit
+These deliberately take different computational routes than the library: the
+kernel systems are assembled from Kronecker products and commutation
+matrices acting on realified coordinates (the library applies each map to a
+stack of structured basis matrices), water filling is solved by bisection
+(the library solves the piecewise-linear equation in closed form), the orbit
 certifiers' gradient flows are sampled one curve point at a time (the
 library samples a whole curve as one stack), the spectrum samplers run one
 sample at a time, the eigenvalue-orbit sampler runs as one stack (the
 library works it in blocks on a thread pool), the singular-value-orbit
 sampler draws one Haar unitary at a time (both orbit samplers take a
 Frobenius value from the residual's entries, as the library does, so the
-comparison stays bitwise), the frame descents run one restart at a time on 2-d arrays
-(the library descends a stack of restarts in lockstep), and the optimal
-frame spectrum is taken over every partition into water-filled blocks (the
-library chooses each block greedily).
-``criterion_09_instances`` repeats the draws of acceptance criterion 09.
+comparison stays bitwise), the frame descents run one restart at a time on
+2-d arrays (the library descends a stack of restarts in lockstep), and the
+optimal frame spectrum is taken over every partition into water-filled
+blocks (the library chooses each block greedily).
+``criterion_09_instances`` and ``criterion_11_instances`` repeat the draws
+of acceptance criteria 09 and 11.
 """
 
 import math
@@ -32,10 +33,13 @@ from lidskii.matrices import (
     frob,
     haar_qr,
     haar_unitary,
+    random_general,
+    random_hermitian,
     require_square,
     skew_exp,
 )
 from lidskii.norms import evaluate, gauge, gauge_from_eigs, norm_gradient
+from lidskii.properties import _degenerate_commutant_pair, hermitian_product_pair
 
 
 def commutation_matrix(d: int) -> np.ndarray:
@@ -173,6 +177,30 @@ def criterion_09_instances(count: int = 100):
         seeds = [int(rng.integers(0, 2**31)) for _r in range(8)]
         instances.append(((S + S.conj().T) / 2, a, seeds))
     return instances
+
+
+def criterion_11_instances():
+    """The (S, G) pairs and then the (A, B) pairs of acceptance criterion 11,
+    from that test's draws (seed 111) in its order: 200 random Hermitian
+    pairs and 50 with a degenerate joint commutant, then 200 random general
+    pairs and 50 Hermitian-product pairs, every other one with a zero
+    block."""
+    rng = as_rng(111)
+    commutant = []
+    for i in range(250):
+        d = int(rng.integers(2, 6))
+        if i < 200:
+            commutant.append((random_hermitian(d, rng), random_hermitian(d, rng)))
+        else:
+            commutant.append(_degenerate_commutant_pair(d, rng))
+    submersion = []
+    for i in range(250):
+        d = int(rng.integers(2, 6))
+        if i < 200:
+            submersion.append((random_general(d, rng), random_general(d, rng)))
+        else:
+            submersion.append(hermitian_product_pair(d, rng, zero_block=(i % 2 == 0)))
+    return commutant, submersion
 
 
 def optimal_spectrum_enumerated(norms, lam, a, tol=1e-12):

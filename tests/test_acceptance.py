@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from oracles import commutant_kernel_dim, pair_submersion_kernel_dim
+from oracles import commutant_kernel_dim, criterion_11_instances, pair_submersion_kernel_dim
 from lidskii import _kernels, eig_orbit, frames, sv_orbit
 from lidskii.majorization import sort_desc
 from lidskii.matrices import (
@@ -305,25 +305,13 @@ def test_criterion_10_escape_move_validity():
 
 def test_criterion_11_nullspace_criteria_vs_bruteforce():
     t0 = time.perf_counter()
-    rng = as_rng(111)
-    from lidskii.properties import _degenerate_commutant_pair
-
+    commutant, submersion = criterion_11_instances()
     ok = True
-    for i in range(250):
-        d = int(rng.integers(2, 6))
-        if i < 200:
-            S, G = random_hermitian(d, rng), random_hermitian(d, rng)
-        else:
-            S, G = _degenerate_commutant_pair(d, rng)
+    for S, G in commutant:
         trivial, kdim = commutant_is_trivial(S, G)
         if kdim != commutant_kernel_dim(S, G) or trivial != (kdim == 0):
             ok = False
-    for i in range(250):
-        d = int(rng.integers(2, 6))
-        if i < 200:
-            A, B = random_general(d, rng), random_general(d, rng)
-        else:
-            A, B = hermitian_product_pair(d, rng, zero_block=(i % 2 == 0))
+    for A, B in submersion:
         sub, kdim, _w = pair_submersion_test(A, B)
         if kdim != pair_submersion_kernel_dim(A, B) or sub != (kdim == 0):
             ok = False

@@ -6,7 +6,7 @@ the candidate's value."""
 import numpy as np
 import pytest
 
-from lidskii import curves, eig_orbit, frames, sv_orbit
+from lidskii import curves, eig_orbit, frames, matrices, sv_orbit
 from lidskii.majorization import sort_desc
 from lidskii.matrices import (
     eigvalsh_desc,
@@ -373,6 +373,16 @@ NON_FINITE_TOL_CALLS = {
     ),
     "frames.certify_uniform_eigenvalue": lambda tol: frames.certify_uniform_eigenvalue(
         NORM, 2 * np.eye(2), frames.frame(np.eye(2)), tol=tol
+    ),
+    # a NaN or non-positive tolerance once gave these a trivial kernel
+    "matrices.commutant_is_trivial": lambda tol: matrices.commutant_is_trivial(
+        np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 2.0, 2.0]), tol=tol
+    ),
+    "matrices.commutant_is_trivial-d1": lambda tol: matrices.commutant_is_trivial(
+        [[1.0]], [[2.0]], tol=tol
+    ),
+    "matrices.pair_submersion_test": lambda tol: matrices.pair_submersion_test(
+        np.eye(2), np.eye(2), tol=tol
     ),
 }
 

@@ -106,7 +106,6 @@ def _record_threads(monkeypatch):
 
 
 def test_sampler_pool_runs_no_layer_function(monkeypatch):
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)  # a pool even on one CPU
     calls = _record_threads(monkeypatch)
     _sampler_runs()
     names = {name for name, _ in calls}
@@ -127,10 +126,9 @@ def test_samplers_do_not_depend_on_worker_count(monkeypatch, workers):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
-def test_samplers_run_in_a_forked_child(monkeypatch):
+def test_samplers_run_in_a_forked_child():
     # the parent's pool exists before the fork; the child inherits it
     # without its threads
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
     expected = _sampler_runs()
 
     def child():

@@ -218,6 +218,17 @@ def test_commutant_agrees_with_kron_oracle():
         assert ok == (kdim == 0)
 
 
+def _pair_defect(A, B, Z):
+    """The largest of the four defects from Hermitian that put Z in the
+    pair map's kernel."""
+    return max(
+        frob(A @ Z.conj().T - Z @ A.conj().T),
+        frob(A.conj().T @ Z - Z.conj().T @ A),
+        frob(B @ Z.conj().T - Z @ B.conj().T),
+        frob(B.conj().T @ Z - Z.conj().T @ B),
+    )
+
+
 def test_pair_submersion_examples():
     ok, kdim, Z = pair_submersion_test(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]))
     assert not ok and kdim >= 1 and Z is not None
@@ -241,13 +252,7 @@ def test_pair_submersion_hermitian_product_rule():
         A, B = hermitian_product_pair(d, rng)
         ok, kdim, Z = pair_submersion_test(A, B)
         assert not ok and kdim >= 1
-        worst = max(
-            frob(A @ Z.conj().T - Z @ A.conj().T),
-            frob(A.conj().T @ Z - Z.conj().T @ A),
-            frob(B @ Z.conj().T - Z @ B.conj().T),
-            frob(B.conj().T @ Z - Z.conj().T @ B),
-        )
-        assert worst < 1e-6 * (1 + frob(A) + frob(B))
+        assert _pair_defect(A, B, Z) < 1e-6 * (1 + frob(A) + frob(B))
 
 
 def test_pair_submersion_agrees_with_kron_oracle():
@@ -262,6 +267,31 @@ def test_pair_submersion_agrees_with_kron_oracle():
             A, B = hermitian_product_pair(d, rng)
         ok, kdim, _ = pair_submersion_test(A, B)
         assert kdim == pair_submersion_kernel_dim(A, B)
+
+
+def test_pair_submersion_for_d1():
+    # A^H Z and A Z^H are real exactly for real Z; B = 2i also asks Z
+    # imaginary, which leaves only Z = 0
+    ok, kdim, Z = pair_submersion_test([[1.0]], [[2.0]])
+    assert (ok, kdim) == (False, 1)
+    assert Z.imag[0, 0] == 0.0 and abs(Z[0, 0]) == 1.0
+    assert pair_submersion_test([[1.0]], [[2j]]) == (True, 0, None)
+
+
+def test_pair_submersion_with_zero_operands():
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 4):
+        B = random_general(d, rng)
+        zero = np.zeros((d, d))
+        # A = 0 leaves B's conditions, which Z = B itself meets
+        ok, kdim, Z = pair_submersion_test(zero, B)
+        assert not ok and kdim == pair_submersion_kernel_dim(zero, B) >= 1
+        assert np.isfinite(Z).all() and abs(frob(Z) - 1.0) < 1e-12
+        assert _pair_defect(zero, B, Z) < 1e-10 * frob(B)
+        # A = B = 0: every Z is in the kernel
+        ok, kdim, Z = pair_submersion_test(zero, zero)
+        assert not ok and kdim == 2 * d * d
+        assert np.isfinite(Z).all() and abs(frob(Z) - 1.0) < 1e-12
 
 
 def test_reconstruction_fuzz():

@@ -11,9 +11,16 @@ import pytest
 
 from oracles import criterion_09_instances
 from lidskii import eig_orbit, frames, sv_orbit
-from lidskii.matrices import haar_unitary, random_general, random_hermitian
+from lidskii.matrices import (
+    commutant_is_trivial,
+    haar_unitary,
+    pair_submersion_test,
+    random_general,
+    random_hermitian,
+)
 from lidskii.norms import frobenius, parse_norm, schatten
 from lidskii.properties import (
+    _degenerate_commutant_pair,
     commuting_candidate,
     dependent_cluster_instance,
     hermitian_product_pair,
@@ -170,3 +177,29 @@ def test_joint_svd_of_zero_takes_the_kernel_path():
     assert np.all(joint.alpha == 0.0)
     assert np.allclose(joint.beta, sv_orbit.svdvals(B), rtol=1e-12, atol=0)
     assert joint.residual_b <= 1e-12 * np.linalg.norm(B)
+
+
+def test_nullspace_tests_are_scale_free_in_each_operand():
+    """Both null-space tests scale each operand to unit Frobenius norm, so
+    rescaling one operand alone keeps the kernel dimension.  The threshold
+    once followed the larger operand, and the smaller one's rows drowned:
+    S below gave kernel dimension 1 at c = 1e-8, 4 at 1e-9 and 2 at 1e8."""
+    S, G0 = random_hermitian(3, 0), np.diag([1.0, 1.0, 2.0])
+    for c in (1e-9, 1e-8, 1.0, 1e8):
+        assert commutant_is_trivial(c * S, G0) == (True, 0), c
+    rng = np.random.default_rng(61)
+    for i in range(2 * DRAWS):
+        d = 2 + i % 4
+        if i % 2:
+            S, G = _degenerate_commutant_pair(d, rng)
+            A, B = hermitian_product_pair(d, rng, zero_block=(i % 4 == 1))
+        else:
+            S, G = random_hermitian(d, rng), random_hermitian(d, rng)
+            A, B = random_general(d, rng), random_general(d, rng)
+        kc = commutant_is_trivial(S, G)[1]
+        kp = pair_submersion_test(A, B)[1]
+        for c in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
+            assert commutant_is_trivial(c * S, G)[1] == kc, (i, c)
+            assert commutant_is_trivial(S, c * G)[1] == kc, (i, c)
+            assert pair_submersion_test(c * A, B)[1] == kp, (i, c)
+            assert pair_submersion_test(A, c * B)[1] == kp, (i, c)

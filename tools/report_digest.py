@@ -24,6 +24,11 @@ Prints one sha256 per output:
   with the count of converged restarts;
 * ``descents schatten:3``: the same record of the same restarts under the
   Schatten-3 norm, which descends the norm value (``_kernels.NormDistance``);
+* ``nullspace``: the kernel dimensions of ``matrices.commutant_is_trivial``
+  and ``matrices.pair_submersion_test`` on acceptance criterion 11's 250 +
+  250 pairs, from ``tests/oracles.criterion_11_instances``, with the bytes
+  of each pair-submersion witness, then ``dims=`` and the first 16 hex
+  digits of the sha256 of the dimensions alone;
 * ``sampling``: the float64 sample values of the benchmark's 21 sampling
   operations at seed 0, with the count of operations whose check passes,
   then one ``sampling op=<i>`` line per operation with the first 16 hex
@@ -31,10 +36,10 @@ Prints one sha256 per output:
   sampler and norm it moved.
 
 The checkout's ``perfbench/workloads.py`` builds the operations, its
-``tests/oracles.py`` the descent instances, and its ``src/`` supplies
-lidskii; nothing in the checkout is written, every input and report goes to
-a temporary directory.  Two checkouts that print the same lines produce the
-same bytes on these outputs.
+``tests/oracles.py`` the descent and null-space instances, and its ``src/``
+supplies lidskii; nothing in the checkout is written, every input and report
+goes to a temporary directory.  Two checkouts that print the same lines
+produce the same bytes on these outputs.
 """
 
 import argparse
@@ -90,6 +95,25 @@ def _descents(instances, norm):
             converged += tr.converged
             total += 1
     return digest.hexdigest(), f"{converged}/{total}"
+
+
+def _nullspace(commutant, submersion):
+    """sha256 of the kernel dimension of every commutant and pair-submersion
+    test in order, with each pair witness's bytes, and sha256 of the
+    dimensions alone."""
+    import numpy as np
+    from lidskii.matrices import commutant_is_trivial, pair_submersion_test
+
+    digest, dims = hashlib.sha256(), hashlib.sha256()
+    results = [commutant_is_trivial(S, G) + (None,) for S, G in commutant]
+    results += [pair_submersion_test(A, B) for A, B in submersion]
+    for _, kdim, witness in results:
+        record = f"{kdim}\n".encode()
+        digest.update(record)
+        dims.update(record)
+        if witness is not None:
+            digest.update(np.ascontiguousarray(witness).tobytes())
+    return digest.hexdigest(), dims.hexdigest()
 
 
 def _sampling(ops):
@@ -156,6 +180,8 @@ def main(argv=None):
     print(f"descents {sha} converged={converged}")
     sha, converged = _descents(instances, schatten(3))
     print(f"descents schatten:3 {sha} converged={converged}")
+    sha, dims = _nullspace(*oracles.criterion_11_instances())
+    print(f"nullspace {sha} dims={dims[:16]}")
     # the sampling operations write nothing: they take no work directory
     sha, passed, per_op = _sampling(workloads.sampling_ops(SAMPLING_SEED, None, SAMPLING_INSTANCES))
     print(f"sampling {sha} ok={passed}")
